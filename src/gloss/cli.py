@@ -43,13 +43,7 @@ def _store(args) -> EventStore:
         step_label=args.step_label, journal=args.journal, gazetteer=gazetteer
     )
     if args.journal and Path(args.journal).exists():
-        # replay before appending so earlier invocations count
-        journal = store._journal
-        store._journal = None
-        try:
-            store.replay(journal)
-        finally:
-            store._journal = journal
+        store.replay(args.journal)  # before appending, so earlier invocations count
     return store
 
 
@@ -110,7 +104,7 @@ def _cmd_query(args) -> int:
     observation = store.query_last(subject)
     when = observation.time_of_observation.lexical()
     try:
-        point = resolved_point(observation.where, store._gazetteer)
+        point = resolved_point(observation.where, store.gazetteer)
         print(f"{subject.key} {when} {point.latitude!r} {point.longitude!r}")
     except GlossError:
         print(f"{subject.key} {when} (no coordinate)")
@@ -174,7 +168,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, EOFError) as exc:  # EOFError: a torn journal frame
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GlossError as exc:

@@ -13,8 +13,8 @@ import socketserver
 import struct
 import threading
 import time
-from bisect import insort
-from dataclasses import dataclass, replace
+from bisect import bisect
+from dataclasses import replace
 from pathlib import Path as FilePath
 from typing import BinaryIO, Callable, Iterator, Optional
 
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .model import Gazetteer, Id
 from .temporal import Time
-from .trails import Manual, ObservedNode, ObservedTrail, RecordingPolicy, record_observation
+from .trails import Manual, ObservedNode, ObservedTrail, RecordingPolicy, admits
 from .wire import (
     LocationEvent,
     Observation,
@@ -53,8 +53,9 @@ def _wall_clock() -> Time:
 
 
 def write_frame(sink: BinaryIO, document: bytes):
-    sink.write(struct.pack(">I", len(document)))
-    sink.write(document)
+    # one write: with two, another process appending to the same journal
+    # could land between a header and its body
+    sink.write(struct.pack(">I", len(document)) + document)
 
 
 def read_frame(source: BinaryIO) -> Optional[bytes]:
@@ -76,14 +77,17 @@ def read_frame(source: BinaryIO) -> Optional[bytes]:
     return body
 
 
-@dataclass(frozen=True)
-class _Entry:
-    millis: int
-    arrival: int
-    observation: Observation
+class _Subject:
+    """Everything the store holds for one subject."""
 
-    def __lt__(self, other):
-        return (self.millis, self.arrival) < (other.millis, other.arrival)
+    def __init__(self, subject: Id):
+        self.id = subject
+        self.entries: list[tuple[int, int, Observation]] = []  # (millis, arrival, obs), sorted
+        self.kept: list[bool] = []  # per entry: did the policy keep it
+        self.seen: set[Observation] = set()
+        self.events: list[LocationEvent] = []
+        self.nodes: list[ObservedNode] = []  # the kept entries' nodes
+        self.trail: ObservedTrail | None = None  # built from nodes on demand
 
 
 class EventStore:
@@ -92,7 +96,9 @@ class EventStore:
     One lock serializes all updates, which trivially gives per-subject
     ordering; readers take the same lock and so always see a consistent
     snapshot.  No cross-form identity resolution happens: phone and email
-    IDs for the same person stay separate subjects.
+    IDs for the same person stay separate subjects.  A trail is its history
+    folded through ``admits``, whose decision depends only on the last kept
+    node before the candidate: an insertion redecides only from its index on.
     """
 
     def __init__(
@@ -109,11 +115,16 @@ class EventStore:
         self._journal = FilePath(journal) if journal is not None else None
         self._gazetteer = gazetteer
         self._lock = threading.Lock()
-        self._history: dict[str, list[_Entry]] = {}
-        self._events: dict[str, list[LocationEvent]] = {}
-        self._trails: dict[str, ObservedTrail] = {}
-        self._subjects: dict[str, Id] = {}
+        self._subjects: dict[str, _Subject] = {}
         self._arrivals = 0
+
+    @property
+    def clock(self) -> Callable[[], Time]:
+        return self._clock
+
+    @property
+    def gazetteer(self) -> Gazetteer | None:
+        return self._gazetteer
 
     # -- writes --
 
@@ -123,88 +134,90 @@ class EventStore:
         Parsing happens before any mutation, so a SchemaViolation leaves
         the store exactly as it was.
         """
+        return self._ingest(document, self._journal)
+
+    def _ingest(self, document: bytes, journal: FilePath | None) -> int:
         event = parse_location_event(document)
         step = ProcessingStep(self._clock(), self.step_label)
-        stored = replace(
-            event, processing_sequence=event.processing_sequence + (step,)
-        )
-        key = event.id.key
+        stored = replace(event, processing_sequence=event.processing_sequence + (step,))
         with self._lock:
-            self._subjects.setdefault(key, event.id)
-            history = self._history.setdefault(key, [])
-            known = set(e.observation for e in history)
-            accepted = 0
+            record = self._subjects.get(event.id.key)
+            if record is None:
+                record = self._subjects[event.id.key] = _Subject(event.id)
+            size = first = len(record.entries)  # first: earliest index that changed
             for obs in event.observations:
-                if obs in known:
+                if obs in record.seen:
                     continue
                 self._arrivals += 1
-                insort(
-                    history,
-                    _Entry(obs.time_of_observation.epoch_millis, self._arrivals, obs),
-                )
-                known.add(obs)
-                accepted += 1
-            self._events.setdefault(key, []).append(stored)
-            if accepted:
-                self._refresh_trail(key, event.id, history)
-            if self._journal is not None:
-                with open(self._journal, "ab") as sink:
+                entry = (obs.time_of_observation.epoch_millis, self._arrivals, obs)
+                at = bisect(record.entries, entry)  # arrivals are unique: obs never compared
+                record.entries.insert(at, entry)
+                record.kept.insert(at, False)
+                record.seen.add(obs)
+                first = min(first, at)
+            record.events.append(stored)
+            if len(record.entries) > size:
+                self._refresh_trail(record, first)
+            if journal is not None:
+                with open(journal, "ab") as sink:
                     write_frame(sink, bytes(document))
-        return accepted
+        return len(record.entries) - size
 
-    def _refresh_trail(self, key: str, subject: Id, history: list[_Entry]):
-        # replay the whole history: an insertion in the middle can change
-        # which candidates the policy admits
-        trail = ObservedTrail(subject)
-        for entry in history:
-            node = ObservedNode(entry.observation.time_of_observation, entry.observation.where)
+    def _refresh_trail(self, record: _Subject, first: int):
+        # a decision depends only on the last kept node before the
+        # candidate: keep every decision before `first`, redo the rest
+        kept, nodes = record.kept, record.nodes
+        del nodes[len(nodes) - sum(kept[first:]) :]
+        for i in range(first, len(record.entries)):
+            obs = record.entries[i][2]
+            node = ObservedNode(obs.time_of_observation, obs.where)
             try:
-                trail = record_observation(trail, node, self._policy, self._gazetteer)
+                kept[i] = admits(nodes[-1] if nodes else None, node, self._policy, self._gazetteer)
             except (Unresolvable, EmptyWhere):
-                continue  # histories may hold wheres a spatial policy cannot place
-        self._trails[key] = trail
+                kept[i] = False  # histories may hold wheres a spatial policy cannot place
+            if kept[i]:
+                nodes.append(node)
+        record.trail = None
 
     # -- reads --
+
+    def _record(self, subject: Id) -> _Subject:
+        record = self._subjects.get(subject.key)
+        if record is None:
+            raise UnknownSubject(f"no observations for {subject.key}")
+        return record
 
     def query_last(self, subject: Id) -> Observation:
         """The freshest observation: maximal timestamp, with the later
         arrival winning ties."""
         with self._lock:
-            history = self._history.get(subject.key)
-            if not history:
-                raise UnknownSubject(f"no observations for {subject.key}")
-            return history[-1].observation
+            return self._record(subject).entries[-1][2]
 
     def observations(self, subject: Id) -> tuple[Observation, ...]:
         with self._lock:
-            history = self._history.get(subject.key)
-            if history is None:
-                raise UnknownSubject(f"no observations for {subject.key}")
-            return tuple(e.observation for e in history)
+            return tuple(obs for _, _, obs in self._record(subject).entries)
 
     def events_for(self, subject: Id) -> tuple[LocationEvent, ...]:
         with self._lock:
-            events = self._events.get(subject.key)
-            if events is None:
-                raise UnknownSubject(f"no observations for {subject.key}")
-            return tuple(events)
+            return tuple(self._record(subject).events)
 
     def trail_for(self, subject: Id) -> ObservedTrail:
         with self._lock:
-            trail = self._trails.get(subject.key)
-            if trail is None:
-                raise UnknownSubject(f"no observations for {subject.key}")
-            return trail
+            record = self._record(subject)
+            if record.trail is None:
+                record.trail = ObservedTrail(record.id, tuple(record.nodes))
+            return record.trail
 
     def subjects(self) -> tuple[Id, ...]:
         with self._lock:
-            return tuple(self._subjects.values())
+            return tuple(record.id for record in self._subjects.values())
 
     def replay(self, journal: str | FilePath) -> int:
-        """Re-ingest a journal; duplicate observations fall out naturally."""
+        """Re-ingest a journal; duplicate observations fall out naturally.
+        Nothing replayed is appended to this store's own journal."""
         total = 0
         for document in read_journal(journal):
-            total += self.ingest(document)
+            total += self._ingest(document, None)
         return total
 
 
@@ -214,7 +227,7 @@ def forward(store: EventStore, event: LocationEvent, sink: BinaryIO) -> Location
     Returns the stamped copy.  The stamp is unconditional: relaying
     without ingesting still leaves a trace in the processing sequence.
     """
-    step = ProcessingStep(store._clock(), store.step_label)
+    step = ProcessingStep(store.clock(), store.step_label)
     stamped = replace(event, processing_sequence=event.processing_sequence + (step,))
     document = serialize_location_event(stamped)
     try:

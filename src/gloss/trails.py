@@ -66,6 +66,7 @@ __all__ = [
     "Manual",
     "Proximity",
     "RecordingPolicy",
+    "admits",
     "record_observation",
     "distill_archetypal",
     "recommended_order",
@@ -216,6 +217,38 @@ RecordingPolicy = Union[FixedTime, FixedSpatial, Manual, Proximity]
 _point = resolved_point
 
 
+def admits(
+    last: Optional[ObservedNode],
+    candidate: ObservedNode,
+    policy: RecordingPolicy,
+    gazetteer: Gazetteer | None = None,
+) -> bool:
+    """Whether the policy keeps the candidate after ``last``, the trail's
+    last kept node; nothing earlier in the trail counts.  With no last node
+    (an empty trail) the candidate is always kept."""
+    if last is None or isinstance(policy, Manual):
+        return True
+    if isinstance(policy, FixedTime):
+        delta = (_when_millis(candidate.when) - _when_millis(last.when)) / 1000.0
+        return delta >= policy.interval_seconds
+    if isinstance(policy, FixedSpatial):
+        moved = great_circle_distance(
+            _point(last.where, gazetteer), _point(candidate.where, gazetteer)
+        )
+        return moved.value >= distance_in_metres(policy.min_distance)
+    if isinstance(policy, Proximity):
+        p = _point(candidate.where, gazetteer)
+        reach = distance_in_metres(policy.threshold)
+        for region in policy.designated:
+            anchor = region.distinguished_point.coordinate
+            if anchor is None:
+                raise Unresolvable("designated region has no distinguished coordinate")
+            if great_circle_distance(anchor, p).value <= reach:
+                return True
+        return False
+    raise TypeError(f"not a recording policy: {policy!r}")
+
+
 def record_observation(
     trail: ObservedTrail,
     candidate: ObservedNode,
@@ -224,36 +257,10 @@ def record_observation(
 ) -> ObservedTrail:
     """Append the candidate iff the policy admits it; the first observation
     is always kept.  Returns the (possibly unchanged) trail."""
-    if trail.nodes:
-        last = trail.nodes[-1]
-        if _when_millis(candidate.when) < _when_millis(last.when):
-            raise OutOfOrderObservation("candidate is earlier than the last node")
-    if not trail.nodes:
-        keep = True
-    elif isinstance(policy, Manual):
-        keep = True
-    elif isinstance(policy, FixedTime):
-        delta = (_when_millis(candidate.when) - _when_millis(last.when)) / 1000.0
-        keep = delta >= policy.interval_seconds
-    elif isinstance(policy, FixedSpatial):
-        moved = great_circle_distance(
-            _point(last.where, gazetteer), _point(candidate.where, gazetteer)
-        )
-        keep = moved.value >= distance_in_metres(policy.min_distance)
-    elif isinstance(policy, Proximity):
-        p = _point(candidate.where, gazetteer)
-        reach = distance_in_metres(policy.threshold)
-        keep = False
-        for region in policy.designated:
-            anchor = region.distinguished_point.coordinate
-            if anchor is None:
-                raise Unresolvable("designated region has no distinguished coordinate")
-            if great_circle_distance(anchor, p).value <= reach:
-                keep = True
-                break
-    else:
-        raise TypeError(f"not a recording policy: {policy!r}")
-    if not keep:
+    last = trail.nodes[-1] if trail.nodes else None
+    if last is not None and _when_millis(candidate.when) < _when_millis(last.when):
+        raise OutOfOrderObservation("candidate is earlier than the last node")
+    if not admits(last, candidate, policy, gazetteer):
         return trail
     return ObservedTrail(trail.subject, trail.nodes + (candidate,))
 

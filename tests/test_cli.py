@@ -70,6 +70,18 @@ class TestIngestAndQuery:
         assert float(lat) == 56.340232849121094
         assert float(lon) == -2.86754378657099878
 
+    def test_torn_journal_tail_is_an_io_error(self, tmp_path, corpus_dir, capsys):
+        journal = tmp_path / "events.journal"
+        target = str(corpus_dir / "coordinate-email.xml")
+        assert main(["--journal", str(journal), "ingest", target]) == 0
+        whole = journal.read_bytes()
+        journal.write_bytes(whole + whole[:20])  # a second frame cut off mid-body
+        capsys.readouterr()
+        assert main(["--journal", str(journal), "ingest", target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "truncated frame body" in err
+        assert "Traceback" not in err
+
     def test_rejected_file_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "junk.xml"
         bad.write_text("<locationEvent>oops")

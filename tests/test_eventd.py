@@ -7,13 +7,18 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eventgen
+from gloss import eventd
 from gloss.errors import (
+    EmptyWhere,
     NotWellFormed,
     SchemaViolation,
     SinkUnavailable,
     UnknownSubject,
+    Unresolvable,
 )
 from gloss.eventd import (
     EventStore,
@@ -23,13 +28,32 @@ from gloss.eventd import (
     serve,
     write_frame,
 )
-from gloss.model import Id, IdKind, LatLongCoordinate, PhysicalLocation, Where
+from gloss.model import (
+    CircularBounds,
+    Distance,
+    Gazetteer,
+    Id,
+    IdKind,
+    LatLongCoordinate,
+    PhysicalLocation,
+    Region,
+    SymbolicLocation,
+    Where,
+)
 from gloss.temporal import Time
-from gloss.trails import FixedSpatial
-from gloss.model import Distance
+from gloss.trails import (
+    FixedSpatial,
+    FixedTime,
+    Manual,
+    ObservedNode,
+    ObservedTrail,
+    Proximity,
+    record_observation,
+)
 from gloss.wire import (
     LocationEvent,
     Observation,
+    ProcessingStep,
     parse_location_event,
     serialize_location_event,
 )
@@ -83,6 +107,20 @@ class TestFraming:
         data = buf.getvalue()[:-2]
         with pytest.raises(EOFError):
             read_frame(io.BytesIO(data))
+
+    def test_one_write_per_frame(self):
+        class Recorder(io.RawIOBase):
+            def __init__(self):
+                self.writes = []
+
+            def write(self, data):
+                self.writes.append(bytes(data))
+                return len(data)
+
+        sink = Recorder()
+        write_frame(sink, b"alpha")
+        write_frame(sink, b"")
+        assert sink.writes == [b"\x00\x00\x00\x05alpha", b"\x00\x00\x00\x00"]
 
     def test_oversize_frame_refused(self):
         header = (64 * 1024 * 1024 + 1).to_bytes(4, "big")
@@ -201,6 +239,14 @@ class TestForward:
         assert parse_location_event(framed) == stamped
         assert read_frame(sink) is None
 
+    def test_store_exposes_clock_and_gazetteer(self):
+        clock, gazetteer = _tick(), Gazetteer({})
+        store = EventStore(clock=clock, gazetteer=gazetteer)
+        assert store.clock is clock
+        assert store.gazetteer is gazetteer
+        with pytest.raises(AttributeError):
+            store.clock = _tick()
+
     def test_forward_does_not_touch_the_store(self):
         store = EventStore(clock=_tick())
         event = parse_location_event(_doc(3, 1.0, 2.0))
@@ -268,6 +314,21 @@ class TestJournal:
         store.ingest(data)  # accepted=0 but still journaled
         assert len(list(read_journal(journal))) == 2
 
+    def test_replay_into_own_journal_appends_nothing(self, tmp_path, monkeypatch):
+        journal = tmp_path / "events.journal"
+        EventStore(clock=_tick(), journal=journal).ingest(_doc(1, 5.0, 6.0))
+        store = EventStore(clock=_tick(), journal=journal)
+        # read a snapshot first: a replay that journals would otherwise
+        # chase its own appends and never end
+        with monkeypatch.context() as patch:
+            patch.setattr(eventd, "read_journal", lambda path: iter(list(read_journal(path))))
+            assert store.replay(journal) == 1
+        assert len(list(read_journal(journal))) == 1
+        assert store.replay(journal) == 0
+        assert len(list(read_journal(journal))) == 1
+        store.ingest(_doc(2, 5.0, 7.0))
+        assert len(list(read_journal(journal))) == 2
+
     def test_rejected_documents_not_journaled(self, tmp_path):
         journal = tmp_path / "events.journal"
         store = EventStore(clock=_tick(), journal=journal)
@@ -299,6 +360,144 @@ class TestTrailUpkeep:
         store.ingest(_doc(10, 56.1, -2.0))
         trail = store.trail_for(SUBJECT)
         assert len(trail.nodes) == 2
+
+
+    def test_unplaceable_first_then_earlier_placeable(self):
+        store = EventStore(clock=_tick(), policy=FixedSpatial(Distance(100.0)))
+        lost = LocationEvent(
+            SUBJECT, (), (Observation(time_of_observation=Time(5_000), where=Where(None)),)
+        )
+        store.ingest(serialize_location_event(lost))
+        store.ingest(_doc(10, 56.1, -2.0))
+        assert [n.where.payload for n in store.trail_for(SUBJECT).nodes] == [None]
+        store.ingest(_doc(0, 56.0, -2.0))  # late, and now the first node
+        trail = store.trail_for(SUBJECT)
+        assert [n.when for n in trail.nodes] == [Time(0), Time(10_000)]
+
+    def test_in_order_ingest_makes_linear_lookups(self):
+        class CountingGazetteer(Gazetteer):
+            lookups = 0
+
+            def lookup(self, key):
+                CountingGazetteer.lookups += 1
+                return super().lookup(key)
+
+        names = [f"spot-{k}" for k in range(5)]
+        gazetteer = CountingGazetteer(
+            {name: _symbolic(56.0 + 0.01 * k, -2.0) for k, name in enumerate(names)}
+        )
+        store = EventStore(
+            clock=_tick(), policy=FixedSpatial(Distance(100.0)), gazetteer=gazetteer
+        )
+        n = 400
+        for i in range(n):
+            where = Where(SymbolicLocation(), name=names[i % len(names)])
+            event = LocationEvent(
+                SUBJECT, (), (Observation(time_of_observation=Time(i * 1000), where=where),)
+            )
+            assert store.ingest(serialize_location_event(event)) == 1
+        assert len(store.trail_for(SUBJECT).nodes) == n
+        assert CountingGazetteer.lookups <= 2 * n
+
+
+def _symbolic(lat: float, lon: float) -> SymbolicLocation:
+    point = PhysicalLocation(LatLongCoordinate(lat, lon))
+    return SymbolicLocation(region=Region(point, CircularBounds(point, Distance(25.0))))
+
+
+# A small pool, so that draws repeat: resends, timestamp ties, and late
+# arrivals all come up often.
+_GAZETTEER = Gazetteer({"quad": _symbolic(56.3405, -2.7950)})
+_PLACES = (
+    Where(PhysicalLocation(LatLongCoordinate(56.3400, -2.7950))),
+    Where(PhysicalLocation(LatLongCoordinate(56.3401, -2.7950))),  # ~11 m on
+    Where(PhysicalLocation(LatLongCoordinate(56.3500, -2.7950))),  # ~1.1 km on
+    Where(PhysicalLocation(LatLongCoordinate(56.4000, -2.9000))),
+    Where(SymbolicLocation(), name="quad"),
+    Where(None),  # EmptyWhere
+    Where(PhysicalLocation()),  # Unresolvable: no coordinate
+    Where(SymbolicLocation(), name="nowhere"),  # Unresolvable: unknown name
+)
+_POLICIES = (
+    Manual(),
+    FixedTime(2.0),
+    FixedSpatial(Distance(100.0)),
+    Proximity(
+        (Region(PhysicalLocation(LatLongCoordinate(56.3400, -2.7950))),), Distance(500.0)
+    ),
+)
+_OTHER = Id(IdKind.EMAIL, "walker@example.org")
+_STEP = ProcessingStep(Time(0), "processed")
+
+_observations = st.builds(
+    lambda seconds, place: Observation(time_of_observation=Time(seconds * 1000), where=place),
+    st.integers(0, 6),
+    st.sampled_from(_PLACES),
+)
+_documents = st.lists(
+    st.tuples(
+        st.sampled_from((SUBJECT, _OTHER)),
+        st.lists(_observations, min_size=1, max_size=3),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+class _ReplayOracle:
+    """The store's contract computed from scratch after every document:
+    sort by time then arrival, drop resends, fold ``record_observation``."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.arrivals = {}  # subject -> [(millis, arrival, observation)]
+        self.events = {}
+        self.count = 0
+
+    def ingest(self, document: bytes) -> int:
+        event = parse_location_event(document)
+        history = self.arrivals.setdefault(event.id, [])
+        self.events.setdefault(event.id, []).append(
+            LocationEvent(event.id, event.processing_sequence + (_STEP,), event.observations)
+        )
+        new = 0
+        for obs in event.observations:
+            if all(obs != known for _, _, known in history):
+                self.count += 1
+                history.append((obs.time_of_observation.epoch_millis, self.count, obs))
+                new += 1
+        return new
+
+    def observations(self, subject):
+        return tuple(obs for _, _, obs in sorted(self.arrivals[subject], key=lambda e: e[:2]))
+
+    def trail(self, subject):
+        trail = ObservedTrail(subject)
+        for obs in self.observations(subject):
+            node = ObservedNode(obs.time_of_observation, obs.where)
+            try:
+                trail = record_observation(trail, node, self.policy, _GAZETTEER)
+            except (Unresolvable, EmptyWhere):
+                continue
+        return trail
+
+
+class TestIncrementalTrailUpkeep:
+    @given(st.sampled_from(_POLICIES), _documents)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_from_scratch_replay(self, policy, sent):
+        store = EventStore(clock=lambda: Time(0), policy=policy, gazetteer=_GAZETTEER)
+        oracle = _ReplayOracle(policy)
+        for subject, observations in sent:
+            document = serialize_location_event(LocationEvent(subject, (), tuple(observations)))
+            assert store.ingest(document) == oracle.ingest(document)
+            for known in oracle.arrivals:
+                history = oracle.observations(known)
+                assert store.observations(known) == history
+                assert store.query_last(known) == history[-1]
+                assert store.events_for(known) == tuple(oracle.events[known])
+                assert store.trail_for(known) == oracle.trail(known)
+        assert set(store.subjects()) == set(oracle.arrivals)
 
 
 class TestGeneratedIngest:
@@ -367,3 +566,6 @@ class TestServer:
         assert len(got) == 120
         millis = [o.time_of_observation.epoch_millis for o in got]
         assert millis == sorted(millis)
+        assert [n.when for n in store.trail_for(SUBJECT).nodes] == [
+            o.time_of_observation for o in got
+        ]
