@@ -6,6 +6,7 @@ formula; regions are closed, so boundary points count as contained.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .errors import (
@@ -37,6 +38,7 @@ __all__ = [
     "convert_quantity",
     "distance_in_metres",
     "great_circle_distance",
+    "pairs_within",
     "initial_bearing",
     "destination_point",
     "spherical_centroid",
@@ -98,15 +100,66 @@ def distance_in_metres(d: Distance) -> float:
     return d.value * _DISTANCE_FACTORS[d.unit]
 
 
+def _haversine_m(lat1, lon1, cos1, lat2, lon2, cos2) -> float:
+    """Haversine distance in metres between two points given in radians,
+    with the cosine of each latitude precomputed by the caller."""
+    h = math.sin((lat2 - lat1) / 2) ** 2 + cos1 * cos2 * math.sin((lon2 - lon1) / 2) ** 2
+    return 2 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+
+
 def great_circle_distance(a: LatLongCoordinate, b: LatLongCoordinate) -> Distance:
     """Haversine distance between two coordinates, in metres."""
-    lat1, lon1, lat2, lon2 = map(
-        math.radians, (a.latitude, a.longitude, b.latitude, b.longitude)
-    )
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
-    return Distance(2 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h))))
+    lat1, lat2 = math.radians(a.latitude), math.radians(b.latitude)
+    lon1, lon2 = math.radians(a.longitude), math.radians(b.longitude)
+    return Distance(_haversine_m(lat1, lon1, math.cos(lat1), lat2, lon2, math.cos(lat2)))
+
+
+_NEIGHBOURS = list(itertools.product((-1, 0, 1), repeat=3))
+
+
+def pairs_within(points: list[LatLongCoordinate], eps_m: float) -> list[tuple[int, int]]:
+    """Every index pair (i, j), i < j, whose great-circle distance is at
+    most eps_m, by the same haversine arithmetic as great_circle_distance.
+
+    Candidates come from a hash grid of cubes over the points' unit
+    vectors, the fixed-radius neighbourhood search of DBSCAN (Ester et
+    al., KDD 1996); each candidate then takes the haversine test.  Why the
+    candidates hold every true pair: two points an angle t apart have unit
+    vectors a chord 2*sin(t/2) apart, and no Cartesian coordinate differs
+    by more than the chord.  The cube side is the chord for eps_m (capped
+    at the diameter, 2), so the cells of two points within eps_m differ by
+    at most one along each axis, and the 27 cells around a point hold all
+    its neighbours.  Near poles and the antimeridian nothing changes: the
+    grid lives in 3-D, not in latitude and longitude.  Rounding cannot
+    break the argument: the side is padded by a relative 1e-9 and an
+    absolute 1e-12, far above the few ulps by which the haversine and the
+    unit vectors can be off; the absolute pad also keeps the side
+    positive for eps_m = 0.
+    """
+    if not eps_m >= 0:
+        return []
+    half_angle = min(eps_m / (2 * EARTH_RADIUS_M), math.pi / 2)
+    side = 2 * math.sin(half_angle) * (1 + 1e-9) + 1e-12
+    kernel = _haversine_m
+    lat, lon, cos_lat = [], [], []
+    grid: dict[tuple[int, int, int], list[int]] = {}
+    pairs = []
+    for i, p in enumerate(points):
+        la, lo = math.radians(p.latitude), math.radians(p.longitude)
+        cl = math.cos(la)
+        lat.append(la)
+        lon.append(lo)
+        cos_lat.append(cl)
+        cx = math.floor(cl * math.cos(lo) / side)
+        cy = math.floor(cl * math.sin(lo) / side)
+        cz = math.floor(math.sin(la) / side)
+        # only points already in the grid (j < i), so each pair is tested once
+        for dx, dy, dz in _NEIGHBOURS:
+            for j in grid.get((cx + dx, cy + dy, cz + dz), ()):
+                if kernel(lat[j], lon[j], cos_lat[j], la, lo, cl) <= eps_m:
+                    pairs.append((j, i))
+        grid.setdefault((cx, cy, cz), []).append(i)
+    return pairs
 
 
 def initial_bearing(a: LatLongCoordinate, b: LatLongCoordinate) -> float:

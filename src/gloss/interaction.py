@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Mapping, Optional, Union
 
 from .errors import SpecificityMismatch
-from .geo import distance_in_metres, great_circle_distance, resolved_point
+from .geo import distance_in_metres, pairs_within, resolved_point
 from .model import (
     Actor,
     CompassDirection,
@@ -266,7 +266,13 @@ class Topology:
 
     def place(self, entity, where: Where, orientation=None) -> "Topology":
         kept = tuple(p for p in self.placements if p[0] != entity)
-        return Topology(kept + ((entity, Placement(where, orientation)),))
+        # kept no longer names entity, so the result names each entity once;
+        # skip __post_init__, which would hash every entity again
+        topology = object.__new__(Topology)
+        object.__setattr__(
+            topology, "placements", kept + ((entity, Placement(where, orientation)),)
+        )
+        return topology
 
     def placement_of(self, entity) -> Optional[Placement]:
         for candidate, placement in self.placements:
@@ -395,12 +401,11 @@ def proximity_coupling(
         for entity, placement in topology.placements
         if isinstance(entity, InteractionResource) and Role.SURFACE in entity.roles
     ]
-    pairs = set()
-    for i in range(len(placed)):
-        for j in range(i + 1, len(placed)):
-            if great_circle_distance(placed[i][1], placed[j][1]).value <= reach:
-                pairs.add(_pair(placed[i][0], placed[j][0]))
-    return replace(state, proximity_surface_couplings=frozenset(pairs))
+    pairs = frozenset(
+        _pair(placed[i][0], placed[j][0])
+        for i, j in pairs_within([point for _, point in placed], reach)
+    )
+    return replace(state, proximity_surface_couplings=pairs)
 
 
 class Compatibility(Enum):

@@ -20,7 +20,6 @@ __all__ = [
     "Time",
     "Period",
     "TemporalRegion",
-    "TemporalBounds",
     "SymbolicTime",
     "When",
     "TimeOfDay",
@@ -122,18 +121,6 @@ class TemporalRegion:
         object.__setattr__(self, "periods", frozenset(periods))
         if not self.periods:
             raise ValueError("temporal region needs at least one period")
-
-
-@dataclass(frozen=True)
-class TemporalBounds:
-    """Bounding analogue of spatial bounds: one or more periods."""
-
-    periods: frozenset[Period]
-
-    def __init__(self, periods):
-        object.__setattr__(self, "periods", frozenset(periods))
-        if not self.periods:
-            raise ValueError("temporal bounds need at least one period")
 
 
 @dataclass(frozen=True)

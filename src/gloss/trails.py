@@ -25,6 +25,7 @@ from .errors import (
 from .geo import (
     distance_in_metres,
     great_circle_distance,
+    pairs_within,
     resolved_point,
     spherical_centroid,
 )
@@ -288,10 +289,8 @@ def _cluster_assignment(coords: list[LatLongCoordinate], eps_m: float) -> list[i
     """Single-linkage components at threshold eps_m, numbered by first
     appearance in input order."""
     uf = _UnionFind(len(coords))
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            if great_circle_distance(coords[i], coords[j]).value <= eps_m:
-                uf.union(i, j)
+    for i, j in pairs_within(coords, eps_m):
+        uf.union(i, j)
     numbers: dict[int, int] = {}
     out = []
     for i in range(len(coords)):

@@ -906,11 +906,15 @@ def parse_location_event(document) -> LocationEvent:
     """Parse one document (bytes or text) into a validated event.
 
     Raises NotWellFormed for broken XML, SchemaViolation at the first
-    grammar or value-space breach.
+    grammar or value-space breach, and SchemaViolation with rule "depth",
+    as validate_document reports it, for nesting too deep to read.
     """
     ctx = _Ctx(strict=True)
     root = _document_root(ctx, document)
-    return _read_event(ctx, root)
+    try:
+        return _read_event(ctx, root)
+    except RecursionError:
+        raise SchemaViolation("/", "depth", "document nesting too deep") from None
 
 
 def validate_document(document) -> ValidationReport:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gloss import geo
 from gloss.errors import (
     CoincidentPoints,
     MissingCoordinate,
@@ -23,6 +24,7 @@ from gloss.geo import (
     great_circle_distance,
     initial_bearing,
     intersects,
+    pairs_within,
     resolved_point,
     spherical_centroid,
 )
@@ -204,6 +206,87 @@ class TestDistance:
         bc = great_circle_distance(b, c).value
         ac = great_circle_distance(a, c).value
         assert ac <= ab + bc + 1e-6
+
+
+# -- fixed-radius neighbour pairs ------------------------------------------------
+
+
+def _all_pairs_within(points, eps_m):
+    return [
+        (i, j)
+        for i in range(len(points))
+        for j in range(i + 1, len(points))
+        if great_circle_distance(points[i], points[j]).value <= eps_m
+    ]
+
+
+# antimeridian and poles drawn often, anywhere else sometimes
+edge_coords = st.builds(
+    LatLongCoordinate,
+    st.sampled_from([89.9999, -89.9999, 0.0, 60.0]) | st.floats(-90.0, 90.0),
+    st.sampled_from([179.9999, -179.9999, 0.0]) | st.floats(-180.0, 180.0),
+)
+
+
+@st.composite
+def neighbour_sets(draw):
+    """Points around a few anchors: the anchors themselves, points exactly
+    eps away, points up to 3 eps away, and copies of earlier points."""
+    eps = draw(
+        st.sampled_from([1.0, math.pi * EARTH_RADIUS_M, 4e7])
+        | st.floats(min_value=1.0, max_value=4e7)
+    )
+    anchors = draw(st.lists(edge_coords, min_size=1, max_size=4))
+    bearings = st.floats(0.0, 360.0)
+    points = []
+    for kind in draw(st.lists(st.sampled_from("aenc"), max_size=40)):
+        anchor = draw(st.sampled_from(anchors))
+        if kind == "a":
+            points.append(anchor)
+        elif kind == "e":
+            points.append(destination_point(anchor, draw(bearings), eps))
+        elif kind == "n":
+            away = draw(st.floats(0.0, 3 * eps))
+            points.append(destination_point(anchor, draw(bearings), away))
+        elif points:
+            points.append(draw(st.sampled_from(points)))
+    return points, eps
+
+
+class TestPairsWithin:
+    def test_empty_and_single(self):
+        assert pairs_within([], 10.0) == []
+        assert pairs_within([_point(89.9999, 179.9999)], 10.0) == []
+
+    @given(neighbour_sets())
+    @settings(max_examples=300)
+    def test_matches_all_pairs(self, case):
+        points, eps = case
+        got = pairs_within(points, eps)
+        assert all(i < j for i, j in got)
+        assert sorted(got) == _all_pairs_within(points, eps)
+
+    def test_tests_only_near_candidates(self, monkeypatch):
+        calls = 0
+        kernel = geo._haversine_m
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(geo, "_haversine_m", counting)
+        eps = 100.0
+        points = [
+            destination_point(
+                _point(-45.0 + 10.0 * c, 20.0 * c), 7.5 * k, eps / 2 * (k % 6) / 6
+            )
+            for c in range(10)
+            for k in range(48)
+        ]
+        true_pairs = 10 * (48 * 47 // 2)
+        assert len(pairs_within(points, eps)) == true_pairs
+        assert calls <= 2 * true_pairs  # all pairs would be 114 960
 
 
 # -- bearings and travel ------------------------------------------------------

@@ -235,6 +235,8 @@ class TestTopology:
         topo = Topology().place(a, _at(0)).place(a, _at(5))
         assert len(topo.placements) == 1
         assert topo.placement_of(a).where == _at(5)
+        checked = Topology(((a, Placement(_at(5))),))
+        assert topo == checked and hash(topo) == hash(checked)
 
     def test_placement_of_unknown(self):
         assert Topology().placement_of(_surface("a")) is None

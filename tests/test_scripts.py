@@ -1,0 +1,22 @@
+"""The demo scripts run to completion from the repository root."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script", ["distill_walks_demo.py", "relay_chain_demo.py"])
+def test_demo_exits_cleanly(script):
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script)],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout

@@ -462,6 +462,16 @@ class TestLaxCollection:
             report = validate_document(junk)
             assert not report.ok
 
+    def test_deep_nesting_rejected_by_both(self):
+        shallow = serialize_location_event(_event(where=Where(Locale(parent=Locale()))))
+        deep = shallow.replace(b"<parent />", b"<parent>" * 3000 + b"</parent>" * 3000)
+        assert deep != shallow
+        report = validate_document(deep)
+        assert [(v.path, v.rule) for v in report.violations] == [("/", "depth")]
+        with pytest.raises(SchemaViolation) as raised:
+            parse_location_event(deep)
+        assert (raised.value.path, raised.value.rule) == ("/", "depth")
+
     def test_violation_paths_are_anchored(self, corpus_documents):
         text = corpus_documents["gps-fix-phone.xml"].decode("latin-1")
         report = validate_document(text.replace(">35.1<", ">nope<"))
