@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from .errors import GlossError, NotWellFormed, SchemaViolation
@@ -70,17 +71,17 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    store = _store(args)
     failures = 0
-    for name in args.files:
-        data = Path(name).read_bytes()
-        try:
-            accepted = store.ingest(data)
-        except (NotWellFormed, SchemaViolation) as exc:
-            print(f"{name}: rejected: {exc}", file=sys.stderr)
-            failures += 1
-            continue
-        print(f"{name}: accepted={accepted}")
+    with closing(_store(args)) as store:
+        for name in args.files:
+            data = Path(name).read_bytes()
+            try:
+                accepted = store.ingest(data)
+            except (NotWellFormed, SchemaViolation) as exc:
+                print(f"{name}: rejected: {exc}", file=sys.stderr)
+                failures += 1
+                continue
+            print(f"{name}: accepted={accepted}")
     return 1 if failures else 0
 
 
@@ -95,6 +96,7 @@ def _cmd_listen(args) -> int:
         pass
     finally:
         server.server_close()
+        store.close()
     return 0
 
 

@@ -55,7 +55,10 @@ def _wall_clock() -> Time:
 def write_frame(sink: BinaryIO, document: bytes):
     # one write: with two, another process appending to the same journal
     # could land between a header and its body
-    sink.write(struct.pack(">I", len(document)) + document)
+    frame = struct.pack(">I", len(document)) + document
+    written = sink.write(frame)
+    if written is not None and written < len(frame):  # an unbuffered sink may stop short
+        raise OSError(f"short write: {written} of {len(frame)} frame bytes")
 
 
 def read_frame(source: BinaryIO) -> Optional[bytes]:
@@ -113,6 +116,7 @@ class EventStore:
         self._clock = clock if clock is not None else _wall_clock
         self._policy = policy if policy is not None else Manual()
         self._journal = FilePath(journal) if journal is not None else None
+        self._sink: BinaryIO | None = None  # the journal's append handle, opened on first use
         self._gazetteer = gazetteer
         self._lock = threading.Lock()
         self._subjects: dict[str, _Subject] = {}
@@ -134,9 +138,16 @@ class EventStore:
         Parsing happens before any mutation, so a SchemaViolation leaves
         the store exactly as it was.
         """
-        return self._ingest(document, self._journal)
+        return self._ingest(document, journaled=self._journal is not None)
 
-    def _ingest(self, document: bytes, journal: FilePath | None) -> int:
+    def close(self):
+        """Close the journal's append handle; a later ingest opens it again."""
+        with self._lock:
+            if self._sink is not None:
+                self._sink.close()
+                self._sink = None
+
+    def _ingest(self, document: bytes, journaled: bool) -> int:
         event = parse_location_event(document)
         step = ProcessingStep(self._clock(), self.step_label)
         stored = replace(event, processing_sequence=event.processing_sequence + (step,))
@@ -158,9 +169,11 @@ class EventStore:
             record.events.append(stored)
             if len(record.entries) > size:
                 self._refresh_trail(record, first)
-            if journal is not None:
-                with open(journal, "ab") as sink:
-                    write_frame(sink, bytes(document))
+            if journaled:
+                if self._sink is None:
+                    # unbuffered: each frame reaches the file in one write, at once
+                    self._sink = open(self._journal, "ab", buffering=0)
+                write_frame(self._sink, bytes(document))
         return len(record.entries) - size
 
     def _refresh_trail(self, record: _Subject, first: int):
@@ -217,7 +230,7 @@ class EventStore:
         Nothing replayed is appended to this store's own journal."""
         total = 0
         for document in read_journal(journal):
-            total += self._ingest(document, None)
+            total += self._ingest(document, journaled=False)
         return total
 
 

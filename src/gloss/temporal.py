@@ -9,20 +9,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
-from enum import Enum
+from datetime import date, datetime, timedelta, timezone
 from functools import total_ordering
 
 from .errors import OutOfRange
 
 __all__ = [
-    "TemporalSystem",
     "Time",
     "Period",
     "TemporalRegion",
     "SymbolicTime",
     "When",
     "TimeOfDay",
+    "lex_datetime",
     "period_contains",
     "region_contains",
     "utc_to_swatch",
@@ -37,25 +36,59 @@ MILLIS_PER_DAY = 86_400_000
 # Swatch beats run on fixed UTC+1 (no daylight saving), 1000 beats per day.
 _BMT_OFFSET_MILLIS = 3_600_000
 _MILLIS_PER_BEAT = 86_400.0
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
-class TemporalSystem(Enum):
-    """Closed set of representation systems."""
+class _TwoDigits(dict):
+    """int() of a two-digit field, looked up for ASCII digits."""
 
-    UTC = "UTC"
-    SWATCH = "SwatchTime"
+    def __missing__(self, digits: str) -> int:
+        return int(digits)  # other digits \d matches
+
+
+_TWO_DIGITS = _TwoDigits((f"{n:02d}", n) for n in range(100))
+
+
+def lex_datetime(text: str) -> tuple[int, bool]:
+    """Epoch milliseconds of a dateTime lexical form, and whether the form
+    names its zone.
+
+    Raises ValueError for anything outside the supported subset; a field
+    out of range gets the message datetime gives for it.
+    """
+    m = _DATETIME_RE.match(text.strip())
+    if m is None:
+        raise ValueError(f"malformed dateTime: {text!r}")
+    year, month, day, hour, minute, second, frac, zone = m.groups()
+    two = _TWO_DIGITS
+    offset = 0  # minutes east of UTC
+    if zone is not None and zone != "Z":
+        offset = two[zone[1:3]] * 60 + two[zone[4:6]]
+        if zone[0] == "-":
+            offset = -offset
+        if not -1440 < offset < 1440:
+            timezone(timedelta(minutes=offset))  # raises, with datetime's message
+    hour = two[hour]
+    minute = two[minute]
+    second = two[second]
+    if hour > 23 or minute > 59 or second > 59:
+        datetime(int(year), two[month], two[day], hour, minute, second)  # raises likewise
+    days = date(int(year), two[month], two[day]).toordinal() - _EPOCH_ORDINAL  # checks the date
+    millis = (((days * 24 + hour) * 60 + minute - offset) * 60 + second) * 1000
+    if frac:
+        millis += int(round(float(frac) * 1000))
+    return millis, zone is not None
 
 
 @total_ordering
 @dataclass(frozen=True)
 class Time:
-    """An absolute instant plus the system it was expressed in.
+    """An absolute instant, in UTC milliseconds since the POSIX epoch.
 
-    Ordering compares instants only; equality also compares the system.
+    Equality, hashing and ordering all compare the instant alone.
     """
 
     epoch_millis: int
-    system: TemporalSystem = TemporalSystem.UTC
 
     def __lt__(self, other: "Time") -> bool:
         return self.epoch_millis < other.epoch_millis
@@ -66,22 +99,7 @@ class Time:
 
         Raises ValueError for anything outside the supported subset.
         """
-        m = _DATETIME_RE.match(text.strip())
-        if m is None:
-            raise ValueError(f"malformed dateTime: {text!r}")
-        year, month, day, hour, minute, second = (int(g) for g in m.groups()[:6])
-        frac, zone = m.group(7), m.group(8)
-        if zone is None or zone == "Z":
-            tz = timezone.utc
-        else:
-            sign = 1 if zone[0] == "+" else -1
-            oh, om = int(zone[1:3]), int(zone[4:6])
-            tz = timezone(sign * timedelta(hours=oh, minutes=om))
-        dt = datetime(year, month, day, hour, minute, second, tzinfo=tz)
-        millis = int(round(dt.timestamp() * 1000))
-        if frac:
-            millis += int(round(float(frac) * 1000))
-        return cls(millis)
+        return cls(lex_datetime(text)[0])
 
     def to_datetime(self) -> datetime:
         return datetime.fromtimestamp(self.epoch_millis / 1000, tz=timezone.utc)

@@ -1,10 +1,10 @@
 """Location-event wire format: reader, writer and validator.
 
-All documents live in one namespace and follow a fixed element grammar
-(hand-compiled here rather than driven by a generic schema engine).  The
-same reading code backs both surfaces: parsing raises on the first broken
-rule, validation records every broken rule and keeps going, so a document
-validates clean exactly when it parses.
+All documents live in one namespace and follow a fixed element grammar,
+written here as small per-element tables that one walker reads (rather
+than a generic schema engine).  The same reading code backs both surfaces:
+parsing raises on the first broken rule, validation records every broken
+rule and keeps going, so a document validates clean exactly when it parses.
 
 Canonical output is UTF-8 with unit attributes omitted when they carry the
 default (altitude M, distance m, speed knots); round-trip equality is
@@ -50,7 +50,7 @@ from .model import (
     _EMAIL_RE,
     _PHONE_RE,
 )
-from .temporal import Time, TimeOfDay
+from .temporal import Time, TimeOfDay, lex_datetime
 
 __all__ = [
     "NS",
@@ -68,7 +68,6 @@ __all__ = [
 
 NS = "http://www-systems.dcs.st-and.ac.uk/gloss/xml/2003-07/"
 
-_ZONE_SUFFIX_RE = re.compile(r"(Z|[+-]\d{2}:\d{2})$")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+$")
 
 # Warn (don't reject) when a locale parent chain is suspiciously deep; the
@@ -149,136 +148,229 @@ class ValidationReport:
 
 # ---------------------------------------------------------------------------
 # Reading engine
+#
+# A complex element is read by walking its children against its grammar, a
+# tuple of particles (local name, occurs, reader) in schema order.  occurs
+# is "1" (required), "?" (optional), "+" or "*" (a run, indexed in paths),
+# "|" (an optional choice; the reader maps local names to readers) or "..."
+# (the reader gets every child left).  Each child is read as the walk
+# reaches it, so breaches come in document order.  A path is the root's
+# string, or a (parent path, local name, index) tuple, index 0 meaning not
+# indexed; it is spelled out only when a breach or a warning is reported.
 
 _BAD = object()  # subtree failed; distinct from None, which is a legal value
+_QUALIFIER = f"{{{NS}}}"
+
+
+def _spell(path) -> str:
+    names = []
+    while type(path) is tuple:
+        path, local, n = path
+        names.append(f"{local}[{n}]" if n else local)
+    names.append(path)
+    return "/".join(reversed(names))
 
 
 class _Ctx:
-    __slots__ = ("strict", "violations", "warnings")
+    __slots__ = ("strict", "violations", "warnings", "depth")
 
     def __init__(self, strict: bool):
         self.strict = strict
         self.violations: list[Violation] = []
         self.warnings: list[str] = []
+        self.depth = 0  # symbolic locations and locales enclosing the walk
 
-    def fail(self, path: str, rule: str, detail: str = ""):
+    def fail(self, path, rule: str, detail: str = ""):
         if self.strict:
-            raise SchemaViolation(path, rule, detail)
-        self.violations.append(Violation(path, rule, detail))
+            raise SchemaViolation(_spell(path), rule, detail)
+        self.violations.append(Violation(_spell(path), rule, detail))
 
-    def warn(self, message: str):
-        self.warnings.append(message)
+    def warn(self, path, message: str):
+        if not self.strict:  # nothing reads a strict parse's warnings
+            self.warnings.append(f"{_spell(path)}: {message}")
+
+
+# every element name the grammar reads, and its qualified tag
+_QNAME = {
+    local: _QUALIFIER + local
+    for local in (
+        "locationEvent ID bitString GUID phone email processingSequence processingStep "
+        "dateTime description observation timeOfObservation where symbolicLocation "
+        "physicalLocation region locale coordinate latLongCoordinate latitude longitude "
+        "distinguishedPoint bounds horizon circularBounds centre radius rectangularBounds "
+        "topLeft bottomRight information info link classifiedLocation landmark district "
+        "addressLocation productLocation openTime closeTime address nameNumber street town "
+        "county postCode webAddress classification classificationType fixed parent contents "
+        "neighbours altitude speed course magneticVariation satellitesVisible PDOP HDOP VDOP "
+        "HPE VPE"
+    ).split()
+}
+_LOCAL = {qname: local for local, qname in _QNAME.items()}
 
 
 def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[1] if tag.startswith("{") else tag
+    local = _LOCAL.get(tag)
+    if local is None:
+        local = tag.rsplit("}", 1)[1] if tag.startswith("{") else tag
+    return local
 
 
-class _Cursor:
-    """Walks the child elements of one complex element in schema order."""
+def _check_attrs(ctx: _Ctx, el: ET.Element, path, allowed: tuple[str, ...] = ()):
+    """Foreign-namespaced attributes (xsi:schemaLocation and friends) pass;
+    unknown plain attributes are violations."""
+    bad = False
+    for k in el.keys():
+        if k.startswith("{") or k in allowed:
+            continue
+        ctx.fail(path, "attribute", f"unexpected attribute {k!r}")
+        bad = True
+    return not bad
 
-    def __init__(self, ctx: _Ctx, el: ET.Element, path: str):
-        self.ctx = ctx
-        self.path = path
-        self.kids = [k for k in el if isinstance(k.tag, str)]
-        self.i = 0
-        self.counts: dict[str, int] = {}
-        self.last_path = path
-        if (el.text or "").strip():
-            ctx.fail(path, "text", "unexpected character content")
-        else:
-            for k in self.kids:
-                if (k.tail or "").strip():
-                    ctx.fail(path, "text", "unexpected character content")
+
+def _children(ctx: _Ctx, el: ET.Element, path, check_attrs: bool = True) -> list:
+    """The child elements of a complex element, once its attributes (unless
+    the caller checks them) and its lack of character content are checked."""
+    if check_attrs and el.keys():
+        _check_attrs(ctx, el, path)
+    kids = el[:]  # ET.fromstring keeps no comments or processing instructions
+    # `s and not s.isspace()` is `s.strip()`: both use str's whitespace set
+    text = el.text
+    if text and not text.isspace():
+        ctx.fail(path, "text", "unexpected character content")
+    else:
+        for kid in kids:
+            tail = kid.tail
+            if tail and not tail.isspace():
+                ctx.fail(path, "text", "unexpected character content")
+                break
+    return kids
+
+
+def _named(ctx: _Ctx, kid: ET.Element, path, local: str):
+    """The path of a child read as `local`, reported if outside the namespace."""
+    child = (path, local, 0)
+    if kid.tag != _QNAME[local]:
+        ctx.fail(child, "namespace", f"element {local!r} not in {NS}")
+    return child
+
+
+# in this order: _walk tests `occurs < _SOME` and `occurs < _CHOICE`
+_ONE, _OPT, _SOME, _ANY, _CHOICE, _REST = range(6)
+_OCCURS = {"1": _ONE, "?": _OPT, "+": _SOME, "*": _ANY, "|": _CHOICE, "...": _REST}
+
+
+def _walk(ctx: _Ctx, el: ET.Element, path, grammar, check_attrs=True, exact=False):
+    """One value per particle of `grammar`, reading el's children in order:
+    a reader's result (or _BAD), None for an absent optional, a list for a
+    run (or _BAD if any member failed).  A child with a particle's local name
+    in another namespace is read and reported, or with exact=True left for
+    later particles.  The first child no particle claims is unexpected."""
+    kids = _children(ctx, el, path, check_attrs)
+    count = len(kids)
+    i = 0
+    values = []
+    for occurs, local, qname, reader in grammar:
+        if occurs < _SOME:  # "1" or "?"
+            if i < count:
+                kid = kids[i]
+                tag = kid.tag
+                if tag == qname:
+                    i += 1
+                    values.append(reader(ctx, kid, (path, local, 0)))
+                    continue
+                if not (exact or tag in _LOCAL or _local(tag) != local):
+                    i += 1
+                    values.append(reader(ctx, kid, _named(ctx, kid, path, local)))
+                    continue
+            if occurs == _OPT:
+                values.append(None)
+                continue
+            ctx.fail((path, local, 0), "minOccurs", f"missing {local}")
+            values.append(_BAD)
+        elif occurs < _CHOICE:  # "+" or "*"
+            run = []
+            taken = 0
+            while i < count:
+                kid = kids[i]
+                tag = kid.tag
+                if tag != qname and (exact or tag in _LOCAL or _local(tag) != local):
                     break
+                i += 1
+                taken += 1
+                child = (path, local, taken)
+                if tag != qname:
+                    ctx.fail(child, "namespace", f"element {local!r} not in {NS}")
+                item = reader(ctx, kid, child)
+                if item is _BAD:
+                    run = _BAD
+                elif run is not _BAD:
+                    run.append(item)
+            if not taken and occurs == _SOME:
+                ctx.fail((path, local, 0), "minOccurs", f"at least one {local} required")
+                run = _BAD
+            values.append(run)
+        elif occurs == _CHOICE:
+            value = None
+            if i < count:
+                chosen = _local(kids[i].tag)
+                if chosen in reader:
+                    kid = kids[i]
+                    i += 1
+                    value = reader[chosen](ctx, kid, _named(ctx, kid, path, chosen))
+            values.append(value)
+        else:
+            values.append(reader(ctx, kids[i:], path))
+            return values
+    if i < count:
+        ctx.fail((path, _local(kids[i].tag), 0), "unexpected", "element not allowed here")
+    return values
 
-    def peek(self) -> Optional[ET.Element]:
-        return self.kids[self.i] if self.i < len(self.kids) else None
 
-    def consume(self) -> ET.Element:
-        el = self.kids[self.i]
-        self.i += 1
-        return el
-
-    def _child_path(self, local: str, indexed: bool) -> str:
-        n = self.counts.get(local, 0) + 1
-        self.counts[local] = n
-        return f"{self.path}/{local}" + (f"[{n}]" if indexed else "")
-
-    def take(self, local: str, indexed: bool = False, exact: bool = False):
-        """Consume and return the next child iff its local name matches.
-
-        With exact=True a same-name element in the wrong namespace is left
-        in place (the caller's wildcard tail may claim it); otherwise it is
-        consumed and reported as a namespace violation.
-        """
-        el = self.peek()
-        if el is None or _local(el.tag) != local:
-            return None
-        qualified = el.tag == f"{{{NS}}}{local}"
-        if exact and not qualified:
-            return None
-        self.consume()
-        self.last_path = self._child_path(local, indexed)
-        if not qualified:
-            self.ctx.fail(
-                self.last_path, "namespace", f"element {local!r} not in {NS}"
-            )
-        return el
-
-    def require(self, local: str, indexed: bool = False):
-        el = self.take(local, indexed)
-        if el is None:
-            self.ctx.fail(f"{self.path}/{local}", "minOccurs", f"missing {local}")
-        return el
-
-    def done(self):
-        el = self.peek()
-        if el is not None:
-            self.consume()
-            self.ctx.fail(
-                f"{self.path}/{_local(el.tag)}",
-                "unexpected",
-                "element not allowed here",
-            )
+def _grammar(*particles):
+    return tuple(
+        (_OCCURS[occurs], local, _QNAME.get(local), reader)
+        for local, occurs, reader in particles
+    )
 
 
 # --- leaf readers ---
 
 
-def _read_text(el: ET.Element) -> str:
+def _read_text(ctx: _Ctx, el: ET.Element, path) -> str:
     return el.text or ""
 
 
-def _read_double(ctx: _Ctx, el: ET.Element, path: str):
-    text = (el.text or "").strip()
-    if not text or "_" in text:
+def _double(lo=None, hi=None, what=""):
+    """A reader of doubles; given `lo` and `hi`, of doubles in that closed
+    interval, `what` naming them in breaches."""
+
+    def read(ctx: _Ctx, el: ET.Element, path):
+        text = (el.text or "").strip()
+        if text and "_" not in text:
+            try:
+                v = float(text)
+            except ValueError:
+                pass
+            else:
+                if lo is None or lo <= v <= hi:
+                    return v
+                if v != v:  # NaN has no place in a closed interval
+                    ctx.fail(path, "double", f"{what} is NaN")
+                elif v < lo:
+                    ctx.fail(path, "minInclusive", f"{what} {v!r} violates minInclusive={lo}")
+                else:
+                    ctx.fail(path, "maxInclusive", f"{what} {v!r} violates maxInclusive={hi}")
+                return _BAD
         ctx.fail(path, "double", f"not a double: {text!r}")
         return _BAD
-    try:
-        return float(text)
-    except ValueError:
-        ctx.fail(path, "double", f"not a double: {text!r}")
-        return _BAD
+
+    return read
 
 
-def _read_ranged_double(ctx, el, path, lo, hi, what):
-    v = _read_double(ctx, el, path)
-    if v is _BAD:
-        return _BAD
-    if v != v:  # NaN has no place in a closed interval
-        ctx.fail(path, "double", f"{what} is NaN")
-        return _BAD
-    if v < lo:
-        ctx.fail(path, "minInclusive", f"{what} {v!r} violates minInclusive={lo}")
-        return _BAD
-    if v > hi:
-        ctx.fail(path, "maxInclusive", f"{what} {v!r} violates maxInclusive={hi}")
-        return _BAD
-    return v
+_read_double = _double()
 
 
-def _read_sat_count(ctx: _Ctx, el: ET.Element, path: str):
+def _read_sat_count(ctx: _Ctx, el: ET.Element, path):
     text = (el.text or "").strip()
     if _INTEGER_RE.match(text) is None:
         ctx.fail(path, "integer", f"not an integer: {text!r}")
@@ -293,19 +385,19 @@ def _read_sat_count(ctx: _Ctx, el: ET.Element, path: str):
     return v
 
 
-def _read_datetime(ctx: _Ctx, el: ET.Element, path: str):
+def _read_datetime(ctx: _Ctx, el: ET.Element, path):
     text = (el.text or "").strip()
     try:
-        t = Time.from_lexical(text)
+        millis, zoned = lex_datetime(text)
     except ValueError as e:
         ctx.fail(path, "dateTime", str(e))
         return _BAD
-    if _ZONE_SUFFIX_RE.search(text) is None:
-        ctx.warn(f"{path}: zone-less timestamp read as UTC")
-    return t
+    if not zoned:
+        ctx.warn(path, "zone-less timestamp read as UTC")
+    return Time(millis)
 
 
-def _read_time_of_day(ctx: _Ctx, el: ET.Element, path: str):
+def _read_time_of_day(ctx: _Ctx, el: ET.Element, path):
     text = (el.text or "").strip()
     try:
         return TimeOfDay.from_lexical(text)
@@ -314,7 +406,7 @@ def _read_time_of_day(ctx: _Ctx, el: ET.Element, path: str):
         return _BAD
 
 
-def _read_boolean(ctx: _Ctx, el: ET.Element, path: str):
+def _read_boolean(ctx: _Ctx, el: ET.Element, path):
     text = (el.text or "").strip()
     if text in ("true", "1"):
         return True
@@ -324,16 +416,12 @@ def _read_boolean(ctx: _Ctx, el: ET.Element, path: str):
     return _BAD
 
 
-def _check_attrs(ctx: _Ctx, el: ET.Element, path: str, allowed: tuple[str, ...] = ()):
-    """Foreign-namespaced attributes (xsi:schemaLocation and friends) pass;
-    unknown plain attributes are violations."""
-    bad = False
-    for k in el.attrib:
-        if k.startswith("{") or k in allowed:
-            continue
-        ctx.fail(path, "attribute", f"unexpected attribute {k!r}")
-        bad = True
-    return not bad
+def _read_email(ctx: _Ctx, el: ET.Element, path):
+    value = el.text or ""
+    if _EMAIL_RE.fullmatch(value) is None:
+        ctx.fail(path, "pattern", f"email {value!r} lacks '@' or a domain dot")
+        return _BAD
+    return value
 
 
 def _read_quantity(ctx, el, path, cls, unit_enum, default_unit, non_negative, what):
@@ -359,425 +447,345 @@ def _read_quantity(ctx, el, path, cls, unit_enum, default_unit, non_negative, wh
     return cls(v, unit)
 
 
-# --- structure readers ---
-
-
-def _read_id(ctx: _Ctx, el: ET.Element, path: str):
-    _check_attrs(ctx, el, path)
-    cur = _Cursor(ctx, el, path)
-    first = cur.peek()
-    if first is None:
-        ctx.fail(path, "choice", "ID needs one of bitString|GUID|phone|email")
-        return _BAD
-    local = _local(first.tag)
-    if local not in ("bitString", "GUID", "phone", "email"):
-        cur.consume()
-        ctx.fail(f"{path}/{local}", "choice", "not an ID form")
-        return _BAD
-    chosen = cur.take(local)
-    child_path = cur.last_path
-    if cur.peek() is not None:
-        extra = cur.consume()
-        ctx.fail(f"{path}/{_local(extra.tag)}", "choice", "ID carries multiple forms")
-        return _BAD
-    value = _read_text(chosen)
-    if local == "phone" and _PHONE_RE.fullmatch(value) is None:
-        ctx.fail(
-            child_path, "pattern", f"phone {value!r} must be '+' then digits/spaces"
-        )
-        return _BAD
-    if local == "email" and _EMAIL_RE.fullmatch(value) is None:
-        ctx.fail(child_path, "pattern", f"email {value!r} lacks '@' or a domain dot")
-        return _BAD
-    return Id(IdKind(local), value)
-
-
-def _read_latlong(ctx: _Ctx, el: ET.Element, path: str):
-    _check_attrs(ctx, el, path)
-    cur = _Cursor(ctx, el, path)
-    lat = lon = _BAD
-    lat_el = cur.require("latitude")
-    if lat_el is not None:
-        lat = _read_ranged_double(ctx, lat_el, cur.last_path, -90.0, 90.0, "latitude")
-    lon_el = cur.require("longitude")
-    if lon_el is not None:
-        lon = _read_ranged_double(
-            ctx, lon_el, cur.last_path, -180.0, 180.0, "longitude"
-        )
-    cur.done()
-    if lat is _BAD or lon is _BAD:
-        return _BAD
-    return LatLongCoordinate(lat, lon)
-
-
-def _read_physical(ctx: _Ctx, el: ET.Element, path: str):
-    _check_attrs(ctx, el, path)
-    cur = _Cursor(ctx, el, path)
-    coord = None
-    bad = False
-    coord_el = cur.take("coordinate")
-    if coord_el is not None:
-        inner = _Cursor(ctx, coord_el, cur.last_path)
-        ll_el = inner.take("latLongCoordinate")
-        if ll_el is not None:
-            coord = _read_latlong(ctx, ll_el, inner.last_path)
-            if coord is _BAD:
-                coord, bad = None, True
-        inner.done()
-    cur.done()
-    return _BAD if bad else PhysicalLocation(coord)
-
-
-def _read_distance(ctx: _Ctx, el: ET.Element, path: str):
+def _read_distance(ctx: _Ctx, el: ET.Element, path):
     return _read_quantity(
         ctx, el, path, Distance, DistanceUnit, DistanceUnit.M, True, "distance"
     )
 
 
-def _read_bounds(ctx: _Ctx, el: ET.Element, path: str):
+def _optional_fields(fields, what: str, required=()):
+    """A "..." reader: the children left as optional fields, each at most
+    once and in the order of `fields`, a table of (local name, keyword,
+    reader).  `required` names elements read before them, which a second
+    copy breaches as maxOccurs.  Reads the keyword arguments, or _BAD."""
+    index = {}
+    for i, (local, _, _) in enumerate(fields):
+        index[local] = index[_QNAME[local]] = i
+
+    def read(ctx: _Ctx, kids: list, path):
+        values = {}
+        last = -1
+        seen: set[int] = set()
+        bad = False
+        for kid in kids:
+            idx = index.get(kid.tag)
+            if idx is None:
+                local = _local(kid.tag)
+                idx = index.get(local)
+                if idx is None:
+                    if local in required:
+                        ctx.fail((path, local, 0), "maxOccurs", f"{local} appears more than once")
+                    else:
+                        ctx.fail((path, local, 0), "unexpected", f"not an {what} field")
+                    bad = True
+                    continue
+            local, keyword, reader = fields[idx]
+            child = (path, local, 0)
+            if kid.tag != _QNAME[local]:
+                ctx.fail(child, "namespace", f"element {local!r} not in {NS}")
+            if idx in seen:
+                ctx.fail(child, "maxOccurs", f"{local} appears more than once")
+                bad = True
+                continue
+            if idx < last:
+                ctx.fail(child, "sequence", f"{local} out of schema order")
+                bad = True
+                continue
+            seen.add(idx)
+            last = idx
+            value = reader(ctx, kid, child)
+            if value is _BAD:
+                bad = True
+            else:
+                values[keyword] = value
+        return _BAD if bad else values
+
+    return read
+
+
+# --- structure readers, innermost first ---
+
+
+_ID_KINDS = {kind.value: kind for kind in IdKind}
+
+
+def _read_id(ctx: _Ctx, el: ET.Element, path):
+    kids = _children(ctx, el, path)
+    if not kids:
+        ctx.fail(path, "choice", "ID needs one of bitString|GUID|phone|email")
+        return _BAD
+    local = _local(kids[0].tag)
+    if local not in _ID_KINDS:
+        ctx.fail((path, local, 0), "choice", "not an ID form")
+        return _BAD
+    child = _named(ctx, kids[0], path, local)
+    if len(kids) > 1:
+        ctx.fail((path, _local(kids[1].tag), 0), "choice", "ID carries multiple forms")
+        return _BAD
+    value = kids[0].text or ""
+    if local == "phone" and _PHONE_RE.fullmatch(value) is None:
+        ctx.fail(child, "pattern", f"phone {value!r} must be '+' then digits/spaces")
+        return _BAD
+    if local == "email" and _read_email(ctx, kids[0], child) is _BAD:
+        return _BAD
+    return Id(_ID_KINDS[local], value)
+
+
+_LATLONG = _grammar(
+    ("latitude", "1", _double(-90.0, 90.0, "latitude")),
+    ("longitude", "1", _double(-180.0, 180.0, "longitude")),
+)
+
+
+def _read_latlong(ctx: _Ctx, el: ET.Element, path):
+    lat, lon = _walk(ctx, el, path, _LATLONG)
+    if lat is _BAD or lon is _BAD:
+        return _BAD
+    return LatLongCoordinate(lat, lon)
+
+
+_COORDINATE = _grammar(("latLongCoordinate", "?", _read_latlong))
+
+
+def _read_coordinate(ctx: _Ctx, el: ET.Element, path):
+    return _walk(ctx, el, path, _COORDINATE, check_attrs=False)[0]
+
+
+_PHYSICAL = _grammar(("coordinate", "?", _read_coordinate))
+
+
+def _read_physical(ctx: _Ctx, el: ET.Element, path):
+    (coord,) = _walk(ctx, el, path, _PHYSICAL)
+    return _BAD if coord is _BAD else PhysicalLocation(coord)
+
+
+_CIRCULAR = _grammar(("centre", "1", _read_physical), ("radius", "1", _read_distance))
+_RECTANGULAR = _grammar(("topLeft", "1", _read_physical), ("bottomRight", "1", _read_physical))
+
+
+def _read_circular(ctx: _Ctx, el: ET.Element, path):
+    centre, radius = _walk(ctx, el, path, _CIRCULAR, check_attrs=False)
+    if centre is _BAD or radius is _BAD:
+        return _BAD
+    return CircularBounds(centre, radius)
+
+
+def _read_rectangular(ctx: _Ctx, el: ET.Element, path):
+    top_left, bottom_right = _walk(ctx, el, path, _RECTANGULAR, check_attrs=False)
+    if top_left is _BAD or bottom_right is _BAD:
+        return _BAD
+    return RectangularBounds(top_left, bottom_right)
+
+
+_BOUNDS_FORMS = {
+    "horizon": lambda ctx, el, path: Horizon(el.text or ""),
+    "circularBounds": _read_circular,
+    "rectangularBounds": _read_rectangular,
+}
+
+
+def _read_bounds(ctx: _Ctx, el: ET.Element, path):
     """The bounds choice may be empty; None is a legal result."""
-    _check_attrs(ctx, el, path)
-    cur = _Cursor(ctx, el, path)
-    first = cur.peek()
-    if first is None:
+    kids = _children(ctx, el, path)
+    if not kids:
         return None
-    local = _local(first.tag)
-    result = _BAD
-    if local == "horizon":
-        h = cur.take("horizon")
-        result = Horizon(_read_text(h))
-    elif local == "circularBounds":
-        c = cur.take("circularBounds")
-        inner = _Cursor(ctx, c, cur.last_path)
-        centre = radius = _BAD
-        centre_el = inner.require("centre")
-        if centre_el is not None:
-            centre = _read_physical(ctx, centre_el, inner.last_path)
-        radius_el = inner.require("radius")
-        if radius_el is not None:
-            radius = _read_distance(ctx, radius_el, inner.last_path)
-        inner.done()
-        if centre is not _BAD and radius is not _BAD:
-            result = CircularBounds(centre, radius)
-    elif local == "rectangularBounds":
-        r = cur.take("rectangularBounds")
-        inner = _Cursor(ctx, r, cur.last_path)
-        tl = br = _BAD
-        tl_el = inner.require("topLeft")
-        if tl_el is not None:
-            tl = _read_physical(ctx, tl_el, inner.last_path)
-        br_el = inner.require("bottomRight")
-        if br_el is not None:
-            br = _read_physical(ctx, br_el, inner.last_path)
-        inner.done()
-        if tl is not _BAD and br is not _BAD:
-            result = RectangularBounds(tl, br)
+    local = _local(kids[0].tag)
+    reader = _BOUNDS_FORMS.get(local)
+    if reader is None:
+        ctx.fail((path, local, 0), "choice", "not a bounds form")
+        result = _BAD
     else:
-        cur.consume()
-        ctx.fail(f"{path}/{local}", "choice", "not a bounds form")
-    if cur.peek() is not None:
-        extra = cur.consume()
-        ctx.fail(f"{path}/{_local(extra.tag)}", "choice", "multiple bounds forms")
+        result = reader(ctx, kids[0], _named(ctx, kids[0], path, local))
+    if len(kids) > 1:
+        ctx.fail((path, _local(kids[1].tag), 0), "choice", "multiple bounds forms")
         return _BAD
     return result
 
 
-def _read_region(ctx: _Ctx, el: ET.Element, path: str):
-    _check_attrs(ctx, el, path)
-    cur = _Cursor(ctx, el, path)
-    dp = bounds = _BAD
-    dp_el = cur.require("distinguishedPoint")
-    if dp_el is not None:
-        dp = _read_physical(ctx, dp_el, cur.last_path)
-    bounds_el = cur.require("bounds")
-    if bounds_el is not None:
-        bounds = _read_bounds(ctx, bounds_el, cur.last_path)
-    cur.done()
-    if dp is _BAD or bounds is _BAD:
+_REGION = _grammar(("distinguishedPoint", "1", _read_physical), ("bounds", "1", _read_bounds))
+
+
+def _read_region(ctx: _Ctx, el: ET.Element, path):
+    point, bounds = _walk(ctx, el, path, _REGION)
+    if point is _BAD or bounds is _BAD:
         return _BAD
-    return Region(dp, bounds)
+    return Region(point, bounds)
 
 
-def _read_information(ctx: _Ctx, el: ET.Element, path: str):
-    _check_attrs(ctx, el, path)
-    cur = _Cursor(ctx, el, path)
-    info = []
-    while (i := cur.take("info", indexed=True)) is not None:
-        info.append(_read_text(i))
-    links = []
-    while (l := cur.take("link", indexed=True)) is not None:
-        links.append(_read_text(l))
-    cur.done()
+_INFORMATION = _grammar(("info", "*", _read_text), ("link", "*", _read_text))
+
+
+def _read_information(ctx: _Ctx, el: ET.Element, path):
+    info, links = _walk(ctx, el, path, _INFORMATION)
     return Information(tuple(info), tuple(links))
 
 
-def _read_classification(ctx: _Ctx, el: ET.Element, path: str):
-    _check_attrs(ctx, el, path)
-    cur = _Cursor(ctx, el, path)
-    types = []
-    while (t := cur.take("classificationType", indexed=True)) is not None:
-        types.append(_read_text(t))
-    cur.done()
+_CLASSIFICATION = _grammar(("classificationType", "*", _read_text))
+
+
+def _read_classification(ctx: _Ctx, el: ET.Element, path):
+    (types,) = _walk(ctx, el, path, _CLASSIFICATION)
     if not types:
-        ctx.fail(
-            f"{path}/classificationType", "minOccurs", "at least one type required"
-        )
+        ctx.fail((path, "classificationType", 0), "minOccurs", "at least one type required")
         return _BAD
     return Classification(tuple(types))
 
 
-# (local name, attribute on Address, pattern-checked)
+# (local name, keyword on Address, reader), in schema order
 _ADDRESS_FIELDS = (
-    ("nameNumber", "name_number", False),
-    ("street", "street", False),
-    ("town", "town", False),
-    ("county", "county", False),
-    ("postCode", "post_code", False),
-    ("webAddress", "web_address", False),
-    ("email", "email", True),
+    ("nameNumber", "name_number", _read_text),
+    ("street", "street", _read_text),
+    ("town", "town", _read_text),
+    ("county", "county", _read_text),
+    ("postCode", "post_code", _read_text),
+    ("webAddress", "web_address", _read_text),
+    ("email", "email", _read_email),
+)
+_ADDRESS = _grammar((None, "...", _optional_fields(_ADDRESS_FIELDS, "address")))
+
+
+def _read_address(ctx: _Ctx, el: ET.Element, path):
+    (fields,) = _walk(ctx, el, path, _ADDRESS)
+    return _BAD if fields is _BAD else Address(**fields)
+
+
+_PRODUCT = _grammar(("openTime", "1", _read_time_of_day), ("closeTime", "1", _read_time_of_day))
+
+
+def _read_product(ctx: _Ctx, el: ET.Element, path):
+    open_time, close_time = _walk(ctx, el, path, _PRODUCT, check_attrs=False)
+    if open_time is _BAD or close_time is _BAD:
+        return _BAD
+    return open_time, close_time
+
+
+_ADDRESS_LOCATION = _grammar(
+    ("productLocation", "?", _read_product), ("address", "1", _read_address)
 )
 
 
-def _read_address(ctx: _Ctx, el: ET.Element, path: str):
-    _check_attrs(ctx, el, path)
-    cur = _Cursor(ctx, el, path)
-    order = {local: i for i, (local, _, _) in enumerate(_ADDRESS_FIELDS)}
-    fields: dict[str, str] = {}
-    last = -1
-    seen: set[int] = set()
-    bad = False
-    while (nxt := cur.peek()) is not None:
-        local = _local(nxt.tag)
-        if local not in order:
-            cur.consume()
-            ctx.fail(f"{path}/{local}", "unexpected", "not an address field")
-            bad = True
-            continue
-        taken = cur.take(local)
-        idx = order[local]
-        if idx in seen:
-            ctx.fail(cur.last_path, "maxOccurs", f"{local} appears more than once")
-            bad = True
-            continue
-        if idx < last:
-            ctx.fail(cur.last_path, "sequence", f"{local} out of schema order")
-            bad = True
-            continue
-        seen.add(idx)
-        last = idx
-        value = _read_text(taken)
-        _, attr, patterned = _ADDRESS_FIELDS[idx]
-        if patterned and _EMAIL_RE.fullmatch(value) is None:
-            ctx.fail(
-                cur.last_path, "pattern", f"email {value!r} lacks '@' or a domain dot"
-            )
-            bad = True
-            continue
-        fields[attr] = value
-    return _BAD if bad else Address(**fields)
+def _read_address_location(ctx: _Ctx, el: ET.Element, path):
+    return _walk(ctx, el, path, _ADDRESS_LOCATION, check_attrs=False)  # [product, address]
 
 
-def _read_classified(ctx: _Ctx, el: ET.Element, path: str):
-    _check_attrs(ctx, el, path)
-    cur = _Cursor(ctx, el, path)
-    bad = False
-    address = product = None
-    al_el = cur.take("addressLocation")
-    if al_el is not None:
-        inner = _Cursor(ctx, al_el, cur.last_path)
-        pl_el = inner.take("productLocation")
-        if pl_el is not None:
-            pcur = _Cursor(ctx, pl_el, inner.last_path)
-            open_t = close_t = _BAD
-            open_el = pcur.require("openTime")
-            if open_el is not None:
-                open_t = _read_time_of_day(ctx, open_el, pcur.last_path)
-            close_el = pcur.require("closeTime")
-            if close_el is not None:
-                close_t = _read_time_of_day(ctx, close_el, pcur.last_path)
-            pcur.done()
-            if open_t is _BAD or close_t is _BAD:
-                bad = True
-            else:
-                product = (open_t, close_t)
-        addr_el = inner.require("address")
-        if addr_el is None:
-            bad = True
-        else:
-            address = _read_address(ctx, addr_el, inner.last_path)
-            if address is _BAD:
-                bad = True
-        inner.done()
-    classifications = []
-    while (c := cur.take("classification", indexed=True)) is not None:
-        cl = _read_classification(ctx, c, cur.last_path)
-        if cl is _BAD:
-            bad = True
-        else:
-            classifications.append(cl)
-    desc_el = cur.require("description")
-    description = _read_text(desc_el) if desc_el is not None else ""
-    if desc_el is None:
-        bad = True
-    cur.done()
-    if bad:
+_CLASSIFIED = _grammar(
+    ("addressLocation", "?", _read_address_location),
+    ("classification", "*", _read_classification),
+    ("description", "1", _read_text),
+)
+
+
+def _read_classified(ctx: _Ctx, el: ET.Element, path):
+    located, classifications, description = _walk(ctx, el, path, _CLASSIFIED)
+    product = address = None
+    if located is not None:
+        product, address = located
+    if product is _BAD or address is _BAD or classifications is _BAD or description is _BAD:
         return _BAD
-    cls_tuple = tuple(classifications)
-    if al_el is None:
-        return ClassifiedLocation(cls_tuple, description)
+    classifications = tuple(classifications)
+    if located is None:
+        return ClassifiedLocation(classifications, description)
     if product is None:
-        return AddressLocation(cls_tuple, description, address)
-    return ProductLocation(cls_tuple, description, address, product[0], product[1])
+        return AddressLocation(classifications, description, address)
+    return ProductLocation(classifications, description, address, *product)
 
 
-def _read_symbolic(ctx: _Ctx, el: ET.Element, path: str, depth: int = 0):
-    _check_attrs(ctx, el, path)
-    cur = _Cursor(ctx, el, path)
-    bad = False
-    subtype = None
-    first = cur.peek()
-    if first is not None:
-        local = _local(first.tag)
-        if local == "classifiedLocation":
-            taken = cur.take(local)
-            subtype = _read_classified(ctx, taken, cur.last_path)
-            if subtype is _BAD:
-                subtype, bad = None, True
-        elif local == "landmark":
-            subtype = Landmark(_read_text(cur.take(local)))
-        elif local == "district":
-            subtype = District(_read_text(cur.take(local)))
-    info_el = cur.require("information")
-    information = Information()
-    if info_el is None:
-        bad = True
-    else:
-        information = _read_information(ctx, info_el, cur.last_path)
-        if information is _BAD:
-            information, bad = Information(), True
-    region_el = cur.require("region")
-    region = Region(PhysicalLocation())
-    if region_el is None:
-        bad = True
-    else:
-        region = _read_region(ctx, region_el, cur.last_path)
-        if region is _BAD:
-            region, bad = Region(PhysicalLocation()), True
-    locales = []
-    while (loc_el := cur.take("locale", indexed=True)) is not None:
-        loc = _read_locale(ctx, loc_el, cur.last_path, depth + 1)
-        if loc is _BAD:
-            bad = True
-        else:
-            locales.append(loc)
-    fixed_el = cur.require("fixed")
-    fixed = True
-    if fixed_el is None:
-        bad = True
-    else:
-        fixed = _read_boolean(ctx, fixed_el, cur.last_path)
-        if fixed is _BAD:
-            fixed, bad = True, True
-    cur.done()
-    if bad:
+def _read_symbolic(ctx: _Ctx, el: ET.Element, path):
+    depth = ctx.depth
+    ctx.depth = depth + 1
+    subtype, information, region, locales, fixed = _walk(ctx, el, path, _SYMBOLIC)
+    ctx.depth = depth
+    if (
+        subtype is _BAD or information is _BAD or region is _BAD
+        or locales is _BAD or fixed is _BAD
+    ):
         return _BAD
     return SymbolicLocation(information, region, subtype, tuple(locales), fixed)
 
 
-def _read_locale(ctx: _Ctx, el: ET.Element, path: str, depth: int = 0):
+def _read_locale(ctx: _Ctx, el: ET.Element, path):
+    depth = ctx.depth
     if depth == _LOCALE_DEPTH_BOUND:
-        ctx.warn(f"{path}: locale nesting deeper than {_LOCALE_DEPTH_BOUND}")
-    _check_attrs(ctx, el, path)
-    cur = _Cursor(ctx, el, path)
-    bad = False
-    parent = None
+        ctx.warn(path, f"locale nesting deeper than {_LOCALE_DEPTH_BOUND}")
+    ctx.depth = depth + 1
     # exact matching: a same-name element outside the namespace falls
-    # through to the wildcard tail instead of being a violation
-    parent_el = cur.take("parent", exact=True)
-    if parent_el is not None:
-        parent = _read_locale(ctx, parent_el, cur.last_path, depth + 1)
-        if parent is _BAD:
-            parent, bad = None, True
-    classifications = []
-    while (c := cur.take("classification", indexed=True, exact=True)) is not None:
-        cl = _read_classification(ctx, c, cur.last_path)
-        if cl is _BAD:
-            bad = True
-        else:
-            classifications.append(cl)
-    contents = []
-    while (s := cur.take("contents", indexed=True, exact=True)) is not None:
-        sl = _read_symbolic(ctx, s, cur.last_path, depth + 1)
-        if sl is _BAD:
-            bad = True
-        else:
-            contents.append(sl)
-    neighbours = []
-    while (n := cur.take("neighbours", indexed=True, exact=True)) is not None:
-        nb = _read_locale(ctx, n, cur.last_path, depth + 1)
-        if nb is _BAD:
-            bad = True
-        else:
-            neighbours.append(nb)
-    extensions = []
-    while cur.peek() is not None:
-        ext = cur.consume()
-        ext.tail = None  # the fragment string must not drag document whitespace
-        extensions.append(ET.tostring(ext, encoding="unicode"))
-    if bad:
+    # through to the extensions instead of being a violation
+    parent, classifications, contents, neighbours, extensions = _walk(
+        ctx, el, path, _LOCALE, exact=True
+    )
+    ctx.depth = depth
+    if parent is _BAD or classifications is _BAD or contents is _BAD or neighbours is _BAD:
         return _BAD
     return Locale(
-        parent,
-        tuple(classifications),
-        tuple(contents),
-        tuple(neighbours),
-        tuple(extensions),
+        parent, tuple(classifications), tuple(contents), tuple(neighbours), extensions
     )
 
 
-def _read_where(ctx: _Ctx, el: ET.Element, path: str):
+def _read_extensions(ctx: _Ctx, kids: list, path) -> tuple[str, ...]:
+    extensions = []
+    for ext in kids:
+        ext.tail = None  # the fragment string must not drag document whitespace
+        extensions.append(ET.tostring(ext, encoding="unicode"))
+    return tuple(extensions)
+
+
+_SYMBOLIC = _grammar(
+    (None, "|", {
+        "classifiedLocation": _read_classified,
+        "landmark": lambda ctx, el, path: Landmark(el.text or ""),
+        "district": lambda ctx, el, path: District(el.text or ""),
+    }),
+    ("information", "1", _read_information),
+    ("region", "1", _read_region),
+    ("locale", "*", _read_locale),
+    ("fixed", "1", _read_boolean),
+)
+_LOCALE = _grammar(
+    ("parent", "?", _read_locale),
+    ("classification", "*", _read_classification),
+    ("contents", "*", _read_symbolic),
+    ("neighbours", "*", _read_locale),
+    (None, "...", _read_extensions),
+)
+_PAYLOAD_READERS = {
+    "symbolicLocation": _read_symbolic,
+    "physicalLocation": _read_physical,
+    "region": _read_region,
+    "locale": _read_locale,
+}
+
+
+def _read_where(ctx: _Ctx, el: ET.Element, path):
     ok = _check_attrs(ctx, el, path, allowed=("name", "glossURN"))
     name = el.get("name")
     urn = el.get("glossURN")
-    cur = _Cursor(ctx, el, path)
+    kids = _children(ctx, el, path, check_attrs=False)
     payload = None
     bad = not ok
-    first = cur.peek()
-    if first is not None:
-        local = _local(first.tag)
-        if local == "symbolicLocation":
-            payload = _read_symbolic(ctx, cur.take(local), cur.last_path)
-        elif local == "physicalLocation":
-            payload = _read_physical(ctx, cur.take(local), cur.last_path)
-        elif local == "region":
-            payload = _read_region(ctx, cur.take(local), cur.last_path)
-        elif local == "locale":
-            payload = _read_locale(ctx, cur.take(local), cur.last_path)
-        else:
-            cur.consume()
-            ctx.fail(f"{path}/{local}", "choice", "not a Where payload")
+    if kids:
+        local = _local(kids[0].tag)
+        reader = _PAYLOAD_READERS.get(local)
+        if reader is None:
+            ctx.fail((path, local, 0), "choice", "not a Where payload")
             bad = True
+        else:
+            payload = reader(ctx, kids[0], _named(ctx, kids[0], path, local))
         if payload is _BAD:
             payload, bad = None, True
-        if cur.peek() is not None:
-            extra = cur.consume()
-            ctx.fail(
-                f"{path}/{_local(extra.tag)}", "choice", "multiple Where payloads"
-            )
+        if len(kids) > 1:
+            ctx.fail((path, _local(kids[1].tag), 0), "choice", "multiple Where payloads")
             bad = True
     return _BAD if bad else Where(payload, name, urn)
 
 
-# (local name, keyword on Observation, reader)
+# (local name, keyword on Observation, reader), in schema order
 _OBS_OPTIONAL = (
     ("altitude", "altitude", lambda ctx, el, p: _read_quantity(
         ctx, el, p, Altitude, AltitudeUnit, AltitudeUnit.METRES, False, "altitude")),
     ("speed", "speed", lambda ctx, el, p: _read_quantity(
         ctx, el, p, Speed, SpeedUnit, SpeedUnit.KNOTS, True, "speed")),
-    ("course", "course", lambda ctx, el, p: _read_ranged_double(
-        ctx, el, p, 0.0, 360.0, "course")),
-    ("magneticVariation", "magnetic_variation", lambda ctx, el, p: _read_ranged_double(
-        ctx, el, p, 0.0, 360.0, "magneticVariation")),
+    ("course", "course", _double(0.0, 360.0, "course")),
+    ("magneticVariation", "magnetic_variation", _double(0.0, 360.0, "magneticVariation")),
     ("satellitesVisible", "satellites_visible", _read_sat_count),
     ("PDOP", "pdop", _read_double),
     ("HDOP", "hdop", _read_double),
@@ -785,98 +793,47 @@ _OBS_OPTIONAL = (
     ("HPE", "hpe", _read_double),
     ("VPE", "vpe", _read_double),
 )
-_OBS_INDEX = {local: i for i, (local, _, _) in enumerate(_OBS_OPTIONAL)}
+_OBSERVATION = _grammar(
+    ("timeOfObservation", "1", _read_datetime),
+    ("where", "1", _read_where),
+    (None, "...", _optional_fields(_OBS_OPTIONAL, "observation", ("timeOfObservation", "where"))),
+)
 
 
-def _read_observation(ctx: _Ctx, el: ET.Element, path: str):
-    _check_attrs(ctx, el, path)
-    cur = _Cursor(ctx, el, path)
-    bad = False
-    t = where = _BAD
-    t_el = cur.require("timeOfObservation")
-    if t_el is not None:
-        t = _read_datetime(ctx, t_el, cur.last_path)
-    where_el = cur.require("where")
-    if where_el is not None:
-        where = _read_where(ctx, where_el, cur.last_path)
-    fields = {}
-    last = -1
-    seen: set[int] = set()
-    while (nxt := cur.peek()) is not None:
-        local = _local(nxt.tag)
-        if local not in _OBS_INDEX:
-            cur.consume()
-            if local in ("timeOfObservation", "where"):
-                ctx.fail(f"{path}/{local}", "maxOccurs", f"{local} appears more than once")
-            else:
-                ctx.fail(f"{path}/{local}", "unexpected", "not an observation field")
-            bad = True
-            continue
-        taken = cur.take(local)
-        idx = _OBS_INDEX[local]
-        if idx in seen:
-            ctx.fail(cur.last_path, "maxOccurs", f"{local} appears more than once")
-            bad = True
-            continue
-        if idx < last:
-            ctx.fail(cur.last_path, "sequence", f"{local} out of schema order")
-            bad = True
-            continue
-        seen.add(idx)
-        last = idx
-        _, attr, reader = _OBS_OPTIONAL[idx]
-        value = reader(ctx, taken, cur.last_path)
-        if value is _BAD:
-            bad = True
-        else:
-            fields[attr] = value
-    if bad or t is _BAD or where is _BAD:
+def _read_observation(ctx: _Ctx, el: ET.Element, path):
+    t, where, fields = _walk(ctx, el, path, _OBSERVATION)
+    if fields is _BAD or t is _BAD or where is _BAD:
         return _BAD
     return Observation(time_of_observation=t, where=where, **fields)
 
 
+_STEP = _grammar(("dateTime", "1", _read_datetime), ("description", "1", _read_text))
+
+
+def _read_step(ctx: _Ctx, el: ET.Element, path):
+    when, description = _walk(ctx, el, path, _STEP, check_attrs=False)
+    if when is _BAD or description is _BAD:
+        return _BAD
+    return ProcessingStep(when, description)
+
+
+_SEQUENCE = _grammar(("processingStep", "*", _read_step))
+
+
+def _read_sequence(ctx: _Ctx, el: ET.Element, path):
+    return _walk(ctx, el, path, _SEQUENCE, check_attrs=False)[0]
+
+
+_EVENT = _grammar(
+    ("ID", "1", _read_id),
+    ("processingSequence", "1", _read_sequence),
+    ("observation", "+", _read_observation),
+)
+
+
 def _read_event(ctx: _Ctx, root: ET.Element):
-    path = "/locationEvent"
-    _check_attrs(ctx, root, path)
-    cur = _Cursor(ctx, root, path)
-    bad = False
-    event_id = _BAD
-    id_el = cur.require("ID")
-    if id_el is not None:
-        event_id = _read_id(ctx, id_el, cur.last_path)
-    steps: list[ProcessingStep] = []
-    ps_el = cur.require("processingSequence")
-    if ps_el is None:
-        bad = True
-    else:
-        ps_cur = _Cursor(ctx, ps_el, cur.last_path)
-        while (step_el := ps_cur.take("processingStep", indexed=True)) is not None:
-            step_cur = _Cursor(ctx, step_el, ps_cur.last_path)
-            when = _BAD
-            when_el = step_cur.require("dateTime")
-            if when_el is not None:
-                when = _read_datetime(ctx, when_el, step_cur.last_path)
-            desc_el = step_cur.require("description")
-            step_cur.done()
-            if when is _BAD or desc_el is None:
-                bad = True
-            else:
-                steps.append(ProcessingStep(when, _read_text(desc_el)))
-        ps_cur.done()
-    observations: list[Observation] = []
-    count = 0
-    while (obs_el := cur.take("observation", indexed=True)) is not None:
-        count += 1
-        obs = _read_observation(ctx, obs_el, cur.last_path)
-        if obs is _BAD:
-            bad = True
-        else:
-            observations.append(obs)
-    if count == 0:
-        ctx.fail(f"{path}/observation", "minOccurs", "at least one observation required")
-        bad = True
-    cur.done()
-    if bad or event_id is _BAD:
+    event_id, steps, observations = _walk(ctx, root, "/locationEvent", _EVENT)
+    if event_id is _BAD or steps is _BAD or observations is _BAD:
         return _BAD
     return LocationEvent(event_id, tuple(steps), tuple(observations))
 
@@ -897,7 +854,7 @@ def _document_root(ctx: _Ctx, document):
     if local != "locationEvent":
         ctx.fail("/", "unexpected", f"root is {local!r}, expected locationEvent")
         return _BAD
-    if root.tag != f"{{{NS}}}locationEvent":
+    if root.tag != _QNAME["locationEvent"]:
         ctx.fail("/locationEvent", "namespace", f"root element not in {NS}")
     return root
 
@@ -929,19 +886,22 @@ def validate_document(document) -> ValidationReport:
     return ValidationReport(ctx.violations, ctx.warnings)
 
 
-def _qualify(el: ET.Element):
+def _qualify(root: ET.Element):
     """Push namespace-less fragment tags into the wire namespace."""
-    if not el.tag.startswith("{"):
-        el.tag = f"{{{NS}}}{el.tag}"
-        for child in el:
-            _qualify(child)
+    stack = [root]
+    while stack:
+        el = stack.pop()
+        if not el.tag.startswith("{"):
+            el.tag = _QUALIFIER + el.tag
+            stack.extend(el)
 
 
 def parse_where(fragment) -> Where:
     """Read a standalone Where (or bare payload) fragment.
 
     Namespace-less fragments are accepted for convenience and read as if
-    they lived in the wire namespace.
+    they lived in the wire namespace.  Nesting too deep to read raises
+    SchemaViolation with rule "depth", as parse_location_event does.
     """
     if isinstance(fragment, str):
         data = fragment.encode("utf-8")
@@ -951,23 +911,20 @@ def parse_where(fragment) -> Where:
         root = ET.fromstring(data)
     except ET.ParseError as e:
         raise NotWellFormed(str(e)) from None
-    if not root.tag.startswith("{"):
-        _qualify(root)
+    _qualify(root)
     ctx = _Ctx(strict=True)
     local = _local(root.tag)
-    if root.tag != f"{{{NS}}}{local}":
-        ctx.fail(f"/{local}", "namespace", f"fragment not in {NS}")
-    if local == "where":
-        return _read_where(ctx, root, "/where")
-    readers = {
-        "symbolicLocation": _read_symbolic,
-        "physicalLocation": _read_physical,
-        "region": _read_region,
-        "locale": _read_locale,
-    }
-    if local in readers:
-        return Where(readers[local](ctx, root, f"/{local}"))
-    raise SchemaViolation(f"/{local}", "unexpected", "not a Where fragment")
+    path = f"/{local}"
+    if root.tag != _QUALIFIER + local:
+        ctx.fail(path, "namespace", f"fragment not in {NS}")
+    try:
+        if local == "where":
+            return _read_where(ctx, root, path)
+        if local in _PAYLOAD_READERS:
+            return Where(_PAYLOAD_READERS[local](ctx, root, path))
+    except RecursionError:
+        raise SchemaViolation("/", "depth", "document nesting too deep") from None
+    raise SchemaViolation(path, "unexpected", "not a Where fragment")
 
 
 # ---------------------------------------------------------------------------

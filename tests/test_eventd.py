@@ -122,6 +122,14 @@ class TestFraming:
         write_frame(sink, b"")
         assert sink.writes == [b"\x00\x00\x00\x05alpha", b"\x00\x00\x00\x00"]
 
+    def test_short_write_refused(self):
+        class Short(io.RawIOBase):
+            def write(self, data):
+                return len(data) - 1
+
+        with pytest.raises(OSError):
+            write_frame(Short(), b"alpha")
+
     def test_oversize_frame_refused(self):
         header = (64 * 1024 * 1024 + 1).to_bytes(4, "big")
         with pytest.raises(EOFError):
@@ -298,6 +306,7 @@ class TestJournal:
         for data in corpus_documents.values():
             first.ingest(data)
         first.ingest(_doc(77, 5.0, 6.0))
+        first.close()
 
         second = EventStore(clock=_tick())
         total = second.replay(journal)
@@ -313,10 +322,34 @@ class TestJournal:
         store.ingest(data)
         store.ingest(data)  # accepted=0 but still journaled
         assert len(list(read_journal(journal))) == 2
+        store.close()
+
+    def test_one_append_handle(self, tmp_path, monkeypatch):
+        opened = []
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            if "a" in mode:
+                opened.append(path)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(eventd, "open", counting_open, raising=False)
+        journal = tmp_path / "events.journal"
+        store = EventStore(clock=_tick(), journal=journal)
+        for n in range(3):
+            store.ingest(_doc(n, 5.0, 6.0 + n))
+            assert len(list(read_journal(journal))) == n + 1  # on disk before close
+        assert opened == [journal]
+        store.close()
+        store.ingest(_doc(9, 5.0, 9.0))  # a closed journal opens again
+        store.close()
+        assert opened == [journal, journal]
+        assert len(list(read_journal(journal))) == 4
 
     def test_replay_into_own_journal_appends_nothing(self, tmp_path, monkeypatch):
         journal = tmp_path / "events.journal"
-        EventStore(clock=_tick(), journal=journal).ingest(_doc(1, 5.0, 6.0))
+        first = EventStore(clock=_tick(), journal=journal)
+        first.ingest(_doc(1, 5.0, 6.0))
+        first.close()
         store = EventStore(clock=_tick(), journal=journal)
         # read a snapshot first: a replay that journals would otherwise
         # chase its own appends and never end
@@ -328,6 +361,7 @@ class TestJournal:
         assert len(list(read_journal(journal))) == 1
         store.ingest(_doc(2, 5.0, 7.0))
         assert len(list(read_journal(journal))) == 2
+        store.close()
 
     def test_rejected_documents_not_journaled(self, tmp_path):
         journal = tmp_path / "events.journal"

@@ -1,6 +1,7 @@
 """Instants, periods and the beat clock."""
 
 import math
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -14,6 +15,7 @@ from gloss.temporal import (
     TemporalRegion,
     Time,
     TimeOfDay,
+    lex_datetime,
     period_contains,
     region_contains,
     utc_to_swatch,
@@ -27,6 +29,64 @@ def _millis(year, month, day, hour=0, minute=0, second=0, micro=0, tz=timezone.u
     """Independent epoch arithmetic through the datetime module."""
     dt = datetime(year, month, day, hour, minute, second, micro, tzinfo=tz)
     return round(dt.timestamp() * 1000)
+
+
+_ORACLE_RE = re.compile(
+    r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(\.\d+)?(Z|[+-]\d{2}:\d{2})?$"
+)
+_ZONE_SUFFIX_RE = re.compile(r"(Z|[+-]\d{2}:\d{2})$")
+
+
+def _oracle_millis(text: str) -> int:
+    """The reading Time.from_lexical used to do, through an aware datetime."""
+    m = _ORACLE_RE.match(text.strip())
+    if m is None:
+        raise ValueError(f"malformed dateTime: {text!r}")
+    year, month, day, hour, minute, second = (int(g) for g in m.groups()[:6])
+    frac, zone = m.group(7), m.group(8)
+    if zone is None or zone == "Z":
+        tz = timezone.utc
+    else:
+        sign = 1 if zone[0] == "+" else -1
+        tz = timezone(sign * timedelta(hours=int(zone[1:3]), minutes=int(zone[4:6])))
+    dt = datetime(year, month, day, hour, minute, second, tzinfo=tz)
+    millis = int(round(dt.timestamp() * 1000))
+    if frac:
+        millis += int(round(float(frac) * 1000))
+    return millis
+
+
+def _field(lo, hi, width):
+    return st.integers(lo, hi).map(lambda n: str(n).zfill(width))
+
+
+# valid forms and their near misses: every field a little past its range
+_near_lexical = st.builds(
+    "{}-{}-{}T{}:{}:{}{}{}".format,
+    _field(0, 9999, 4),
+    _field(0, 14, 2),
+    _field(0, 33, 2),
+    _field(0, 25, 2),
+    _field(0, 61, 2),
+    _field(0, 61, 2),
+    st.one_of(st.just(""), st.text("0123456789", min_size=1, max_size=12).map(".{}".format)),
+    st.one_of(
+        st.sampled_from(["", "Z"]),
+        st.builds("{}{}:{}".format, st.sampled_from("+-"), _field(0, 25, 2), _field(0, 99, 2)),
+    ),
+)
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")  # \d matches these too
+_lexical_forms = st.one_of(
+    _near_lexical,
+    _near_lexical.map(lambda s: s.translate(_ARABIC_INDIC)),
+    st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["", " ", "\n\t"]),
+        _near_lexical,
+        st.sampled_from(["", " ", "x"]),
+    ),
+    st.text(max_size=30),
+)
 
 
 class TestTimeLexical:
@@ -86,6 +146,39 @@ class TestTimeLexical:
     @given(millis_range, millis_range)
     def test_ordering_matches_millis(self, a, b):
         assert (Time(a) < Time(b)) == (a < b)
+
+    @given(_lexical_forms)
+    @settings(max_examples=1000)
+    def test_matches_datetime_oracle(self, text):
+        try:
+            expected = _oracle_millis(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                Time.from_lexical(text)
+            assert str(raised.value) == str(exc)
+            return
+        assert Time.from_lexical(text).epoch_millis == expected
+        zoned = _ZONE_SUFFIX_RE.search(text.strip()) is not None
+        assert lex_datetime(text.strip()) == (expected, zoned)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0000-01-01T00:00:00",
+            "2003-13-01T00:00:00",
+            "2003-02-31T00:00:00",
+            "1900-02-29T00:00:00",
+            "2003-05-16T24:00:00",
+            "2003-05-16T18:60:00",
+            "2003-05-16T18:31:60",
+            "2003-05-16T18:31:59+24:00",
+        ],
+    )
+    def test_out_of_range_fields_rejected(self, text):
+        with pytest.raises(ValueError):
+            _oracle_millis(text)
+        with pytest.raises(ValueError):
+            Time.from_lexical(text)
 
 
 class TestPeriod:

@@ -1,6 +1,8 @@
 """Location-event wire format: corpus fidelity, canonical output,
 violation reporting, and the parser/validator agreement guarantee."""
 
+import copy
+import hashlib
 import random
 import xml.etree.ElementTree as ET
 
@@ -443,6 +445,13 @@ class TestParseWhere:
         with pytest.raises(NotWellFormed):
             parse_where("<where")
 
+    @pytest.mark.parametrize("xmlns", ["", f' xmlns="{NS}"'])
+    def test_deep_nesting_is_a_depth_violation(self, xmlns):
+        deep = f"<locale{xmlns}>" + "<parent>" * 3000 + "</parent>" * 3000 + "</locale>"
+        with pytest.raises(SchemaViolation) as raised:
+            parse_where(deep)
+        assert (raised.value.path, raised.value.rule) == ("/", "depth")
+
 
 class TestLaxCollection:
     def test_multiple_violations_collected(self, corpus_documents):
@@ -505,3 +514,114 @@ class TestGenerated:
             except (NotWellFormed, SchemaViolation):
                 parsed = False
             assert parsed == report.ok, (i, report.violations)
+
+
+# -- golden digests -------------------------------------------------------------
+#
+# Behaviour any rework of the codec must keep.  The first digest pins the
+# canonical bytes the README promises; the second pins everything the
+# reader reports on damaged input: every violation's path, rule and detail,
+# every warning, and the first breach strict parsing raises.  Details quote
+# datetime's and expat's own messages, so the second digest is for CPython
+# 3.11, the version CI runs.
+
+SERIALIZE_DIGEST = "b2568b8d1dedf4b9cce1765ccb96d23fd950888ebae9c66976cd178d20e7bce4"
+VALIDATE_DIGEST = "76d6831d26ddc3a9811a40e5593677ace40bd4a9c4beb4ed5a73469a2896b8c6"
+
+_FOREIGN_NS = "http://example.org/foreign/"
+_RENAMES = (
+    "ID", "email", "processingStep", "dateTime", "observation", "timeOfObservation",
+    "where", "symbolicLocation", "physicalLocation", "region", "locale", "parent",
+    "contents", "bounds", "horizon", "latitude", "longitude", "information", "info",
+    "link", "classification", "classificationType", "description", "address",
+    "street", "town", "email", "fixed", "altitude", "speed", "course",
+    "satellitesVisible", "PDOP", "VPE", "frobnicator",
+)
+_BAD_VALUES = (
+    "", " ", "x", "nan", "-inf", "1e999", "1_0", "-0", "+7", "13", "6.5", "361",
+    "-91", "maybe", "447941615809", "a@b", "12:00:60", "23:59:59.9999",
+)
+_BAD_DATETIMES = (
+    "0000-01-01T00:00:00", "2003-13-01T00:00:00", "2003-00-10T00:00:00",
+    "2003-02-31T00:00:00", "1900-02-29T00:00:00", "2004-02-29T23:59:59.9996",
+    "2003-05-16T24:00:00", "2003-05-16T18:60:00", "2003-05-16T18:31:60",
+    "2003-05-16T18:31:59+24:00", "2003-05-16T18:31:59-01:75", "2003-05-16T18:31:59z",
+    " 2003-05-16T18:31:59Z ", "2003-05-16T18:31:59.", "9999-12-31T23:59:59-23:59",
+)
+
+
+def _damage(rng: random.Random, data: bytes) -> bytes:
+    """One to three element-level breaks, sometimes followed by a cut."""
+    root = ET.fromstring(data)
+    for _ in range(rng.randint(1, 3)):
+        parents = {child: parent for parent in root.iter() for child in parent}
+        el = rng.choice(list(parents))
+        parent = parents[el]
+        local = el.tag.rsplit("}", 1)[-1]
+        kind = rng.randrange(8)
+        if kind == 0:
+            el.tag = f"{{{NS}}}{rng.choice(_RENAMES)}"
+        elif kind == 1:  # swap with a sibling
+            kids = list(parent)
+            i, j = kids.index(el), rng.randrange(len(kids))
+            kids[i], kids[j] = kids[j], kids[i]
+            parent[:] = kids
+        elif kind == 2:
+            parent.insert(list(parent).index(el), copy.deepcopy(el))
+        elif kind == 3:
+            el.tag = f"{{{_FOREIGN_NS}}}{local}"
+        elif kind == 4:
+            dated = local in ("dateTime", "timeOfObservation")
+            el.text = rng.choice(_BAD_DATETIMES if dated else _BAD_VALUES)
+        elif kind == 5:
+            el.tail = rng.choice(("stray", " \n\t", "\u00a0", "\u2003"))
+        elif kind == 6:
+            parent.remove(el)
+        else:
+            el.set(rng.choice(("unit", "name", "bogus", f"{{{_FOREIGN_NS}}}ok")), "F")
+    out = ET.tostring(root, encoding="unicode").encode("utf-8")
+    if rng.random() < 0.1:
+        out = out[: rng.randrange(1, len(out))]
+    return out
+
+
+def _digest(records) -> str:
+    h = hashlib.sha256()
+    for record in records:
+        h.update(len(record).to_bytes(4, "big"))
+        h.update(record)
+    return h.hexdigest()
+
+
+def _serialized(corpus_documents):
+    rng = random.Random(20031)
+    for _ in range(2000):
+        yield serialize_location_event(eventgen.gen_event(rng))
+    for name in sorted(corpus_documents):
+        yield serialize_location_event(parse_location_event(corpus_documents[name]))
+
+
+def _reported(corpus_documents):
+    rng = random.Random(7031)
+    bases = [corpus_documents[name] for name in sorted(corpus_documents)]
+    for i in range(1500):
+        data = bases[i] if i < len(bases) else eventgen.gen_document(rng)
+        data = eventgen.mutate_document(rng, data) if i % 5 == 4 else _damage(rng, data)
+        report = validate_document(data)
+        try:
+            parse_location_event(data)
+            strict = "ok"
+        except NotWellFormed:
+            strict = "well-formed"
+        except SchemaViolation as exc:
+            strict = (exc.path, exc.rule, exc.detail)
+        seen = [(v.path, v.rule, v.detail) for v in report.violations]
+        yield repr((seen, report.warnings, strict)).encode("utf-8")
+
+
+class TestGolden:
+    def test_canonical_bytes(self, corpus_documents):
+        assert _digest(_serialized(corpus_documents)) == SERIALIZE_DIGEST
+
+    def test_validation_reports(self, corpus_documents):
+        assert _digest(_reported(corpus_documents)) == VALIDATE_DIGEST
