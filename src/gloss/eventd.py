@@ -157,14 +157,15 @@ class EventStore:
                 record = self._subjects[event.id.key] = _Subject(event.id)
             size = first = len(record.entries)  # first: earliest index that changed
             for obs in event.observations:
-                if obs in record.seen:
+                seen = len(record.seen)
+                record.seen.add(obs)  # one hash: the size tells whether it was new
+                if len(record.seen) == seen:
                     continue
                 self._arrivals += 1
                 entry = (obs.time_of_observation.epoch_millis, self._arrivals, obs)
                 at = bisect(record.entries, entry)  # arrivals are unique: obs never compared
                 record.entries.insert(at, entry)
                 record.kept.insert(at, False)
-                record.seen.add(obs)
                 first = min(first, at)
             record.events.append(stored)
             if len(record.entries) > size:

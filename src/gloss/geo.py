@@ -1,7 +1,8 @@
 """Unit-safe quantity conversion and spherical geometry.
 
 All geometry runs on a sphere of radius 6 371 000 m using the haversine
-formula; regions are closed, so boundary points count as contained.
+formula (its atan2 form past a quarter circle); regions are closed, so
+boundary points count as contained.
 """
 
 from __future__ import annotations
@@ -102,9 +103,16 @@ def distance_in_metres(d: Distance) -> float:
 
 def _haversine_m(lat1, lon1, cos1, lat2, lon2, cos2) -> float:
     """Haversine distance in metres between two points given in radians,
-    with the cosine of each latitude precomputed by the caller."""
+    with the cosine of each latitude precomputed by the caller.  Past a
+    quarter circle it takes atan2 of the unit vectors' cross and dot
+    products, which stays within a few ulps and symmetric bit for bit."""
     h = math.sin((lat2 - lat1) / 2) ** 2 + cos1 * cos2 * math.sin((lon2 - lon1) / 2) ** 2
-    return 2 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+    if h > 0.5:  # asin(sqrt(h)) loses digits near antipodes; atan2 does not
+        x1, y1, z1 = cos1 * math.cos(lon1), cos1 * math.sin(lon1), math.sin(lat1)
+        x2, y2, z2 = cos2 * math.cos(lon2), cos2 * math.sin(lon2), math.sin(lat2)
+        cross = math.hypot(y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+        return EARTH_RADIUS_M * math.atan2(cross, x1 * x2 + y1 * y2 + z1 * z2)
+    return 2 * EARTH_RADIUS_M * math.asin(math.sqrt(h))
 
 
 def great_circle_distance(a: LatLongCoordinate, b: LatLongCoordinate) -> Distance:

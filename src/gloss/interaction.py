@@ -252,33 +252,36 @@ class Placement:
 
 @dataclass(frozen=True)
 class Topology:
-    """Placement of entities in one reference frame, at most one each."""
+    """Placement of entities in one reference frame, at most one each,
+    listed in the order of their last ``place`` (constructor order for the
+    rest).  An insertion-ordered dict, left out of ``==``, ``hash`` and
+    ``repr``, backs it: ``placement_of`` is one lookup, and ``place``
+    copies the dict, O(n) in C, and hashes only the moved entity."""
 
     placements: tuple[tuple[object, Placement], ...] = ()
+    _index: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "placements", tuple(self.placements))
-        seen = set()
-        for entity, _ in self.placements:
-            if entity in seen:
+        index = {}
+        for entity, placement in self.placements:
+            if entity in index:
                 raise ValueError(f"{entity!r} placed twice")
-            seen.add(entity)
+            index[entity] = placement
+        object.__setattr__(self, "_index", index)
 
     def place(self, entity, where: Where, orientation=None) -> "Topology":
-        kept = tuple(p for p in self.placements if p[0] != entity)
-        # kept no longer names entity, so the result names each entity once;
-        # skip __post_init__, which would hash every entity again
+        index = self._index.copy()
+        index.pop(entity, None)  # re-inserted last: the moved entity goes to the end
+        index[entity] = Placement(where, orientation)
+        # the index names each entity once; skip __post_init__'s re-check
         topology = object.__new__(Topology)
-        object.__setattr__(
-            topology, "placements", kept + ((entity, Placement(where, orientation)),)
-        )
+        object.__setattr__(topology, "_index", index)
+        object.__setattr__(topology, "placements", tuple(index.items()))
         return topology
 
     def placement_of(self, entity) -> Optional[Placement]:
-        for candidate, placement in self.placements:
-            if candidate == entity:
-                return placement
-        return None
+        return self._index.get(entity)
 
 
 def _pair(a: InteractionResource, b: InteractionResource) -> frozenset:
@@ -402,7 +405,7 @@ def proximity_coupling(
         if isinstance(entity, InteractionResource) and Role.SURFACE in entity.roles
     ]
     pairs = frozenset(
-        _pair(placed[i][0], placed[j][0])
+        frozenset((placed[i][0], placed[j][0]))  # not _pair: entities are unique
         for i, j in pairs_within([point for _, point in placed], reach)
     )
     return replace(state, proximity_surface_couplings=pairs)

@@ -269,35 +269,23 @@ def record_observation(
 # --- distillation ---
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def _cluster_assignment(coords: list[LatLongCoordinate], eps_m: float) -> list[int]:
     """Single-linkage components at threshold eps_m, numbered by first
     appearance in input order."""
-    uf = _UnionFind(len(coords))
+    parent = list(range(len(coords)))  # union-find forest, path halving
     for i, j in pairs_within(coords, eps_m):
-        uf.union(i, j)
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i != j:  # roots differ: not yet joined
+            parent[j] = i
     numbers: dict[int, int] = {}
     out = []
-    for i in range(len(coords)):
-        root = uf.find(i)
-        if root not in numbers:
-            numbers[root] = len(numbers)
-        out.append(numbers[root])
+    for root in range(len(coords)):
+        while parent[root] != root:
+            root = parent[root]
+        out.append(numbers.setdefault(root, len(numbers)))
     return out
 
 

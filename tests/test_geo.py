@@ -4,7 +4,7 @@ independent formulations (law of cosines, tangent-plane bearings)."""
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gloss import geo
@@ -201,6 +201,8 @@ class TestDistance:
 
     @given(coords, coords, coords)
     @settings(max_examples=300)
+    # near-antipodal, on one meridian circle: ac == ab + bc exactly
+    @example(_point(0.0, 0.0), _point(1.0, 0.0), _point(0.015625, 180.0))
     def test_triangle_inequality(self, a, b, c):
         ab = great_circle_distance(a, b).value
         bc = great_circle_distance(b, c).value

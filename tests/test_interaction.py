@@ -1,9 +1,12 @@
 """Resource/surface/instrument model: coupling state, degree bookkeeping,
 the proximity rule, and surface compatibility classification."""
 
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gloss.errors import SpecificityMismatch
 from gloss.geo import destination_point
@@ -34,6 +37,7 @@ from gloss.interaction import (
     proximity_coupling,
 )
 from gloss.model import (
+    CompassDirection,
     Distance,
     DistanceUnit,
     Id,
@@ -224,6 +228,46 @@ class TestCouplingDegree:
         assert not is_time_multiplexed(state, doc)
 
 
+class _Counted:
+    """An entity that records every __eq__ and __hash__ call."""
+
+    def __init__(self, key: int, calls: list):
+        self.key, self.calls = key, calls
+
+    def __eq__(self, other):
+        self.calls.append("eq")
+        return isinstance(other, _Counted) and self.key == other.key
+
+    def __hash__(self):
+        self.calls.append("hash")
+        return hash(self.key)
+
+
+# two equal surfaces "a", one instrument, a plain-string entity, and "z",
+# which the differential test never places
+_POOL = (
+    _surface("a"),
+    _surface("a"),
+    _surface("b"),
+    _res("pen", Role.INSTRUMENT),
+    "label",
+    _surface("z"),
+)
+
+
+def _linear_place(placements, entity, where, orientation=None):
+    """Topology.place as a linear scan: keep the rest, append the entity."""
+    kept = tuple(p for p in placements if p[0] != entity)
+    return kept + ((entity, Placement(where, orientation)),)
+
+
+def _linear_placement_of(placements, entity):
+    for candidate, placement in placements:
+        if candidate == entity:
+            return placement
+    return None
+
+
 class TestTopology:
     def test_duplicate_placement_rejected(self):
         a = _surface("a")
@@ -240,6 +284,51 @@ class TestTopology:
 
     def test_placement_of_unknown(self):
         assert Topology().placement_of(_surface("a")) is None
+
+    @given(
+        st.integers(0, 4),
+        st.lists(
+            st.tuples(
+                st.integers(0, len(_POOL) - 2),
+                st.integers(0, 3),
+                st.none() | st.sampled_from((0.0, 90.0, 359.5)),
+            ),
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=300)
+    def test_matches_linear_oracle(self, start, moves):
+        # the pool holds equal but distinct objects and a non-resource
+        # entity; its last entry is never placed, so lookups also miss
+        placements = tuple((_POOL[k], Placement(_at(k))) for k in range(1, start + 1))
+        topo = Topology(placements)
+        for k, metres, bearing in moves:
+            orientation = None if bearing is None else CompassDirection(bearing)
+            topo = topo.place(_POOL[k], _at(metres), orientation)
+            placements = _linear_place(placements, _POOL[k], _at(metres), orientation)
+            assert topo.placements == placements
+            assert all(a is b for (a, _), (b, _) in zip(topo.placements, placements))
+            for entity in _POOL:
+                assert topo.placement_of(entity) == _linear_placement_of(placements, entity)
+            checked = Topology(placements)
+            assert topo == checked and hash(topo) == hash(checked)
+            assert repr(topo) == repr(checked)
+        copy = pickle.loads(pickle.dumps(topo))
+        assert copy == topo and [copy.placement_of(e) for e in _POOL] == [
+            topo.placement_of(e) for e in _POOL
+        ]
+
+    def test_place_hashes_only_the_moved_entity(self):
+        calls = []
+        entities = [_Counted(k, calls) for k in range(400)]
+        topo = Topology(tuple((e, Placement(_at(k))) for k, e in enumerate(entities)))
+        calls.clear()
+        moved = topo.place(entities[200], _at(1.0))
+        assert len(calls) <= 4
+        assert moved.placements[-1][0] is entities[200]
+        calls.clear()
+        assert moved.placement_of(entities[200]) == Placement(_at(1.0))
+        assert len(calls) <= 4
 
 
 class TestProximityCoupling:
