@@ -71,13 +71,14 @@ def read_frame(source: BinaryIO) -> Optional[bytes]:
     (length,) = struct.unpack(">I", header)
     if length > _FRAME_CAP:
         raise EOFError(f"frame of {length} bytes exceeds the cap")
-    body = b""
-    while len(body) < length:
-        chunk = source.read(length - len(body))
+    chunks = []
+    while length:
+        chunk = source.read(length)
         if not chunk:
             raise EOFError("truncated frame body")
-        body += chunk
-    return body
+        chunks.append(chunk)
+        length -= len(chunk)
+    return b"".join(chunks)  # a single bytes chunk comes back as itself, uncopied
 
 
 class _Subject:

@@ -37,6 +37,7 @@ MILLIS_PER_DAY = 86_400_000
 _BMT_OFFSET_MILLIS = 3_600_000
 _MILLIS_PER_BEAT = 86_400.0
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+_EPOCH = datetime(1970, 1, 1)  # naive: isoformat() then names no zone
 
 
 class _TwoDigits(dict):
@@ -105,10 +106,13 @@ class Time:
         return datetime.fromtimestamp(self.epoch_millis / 1000, tz=timezone.utc)
 
     def lexical(self) -> str:
-        """Canonical zone-less UTC form, fractional seconds trimmed."""
+        """Canonical zone-less UTC form with a four-digit year, fractional
+        seconds trimmed.  Raises ValueError outside the years 1-9999."""
         whole, ms = divmod(self.epoch_millis, 1000)
-        dt = datetime.fromtimestamp(whole, tz=timezone.utc)
-        base = dt.strftime("%Y-%m-%dT%H:%M:%S")
+        try:
+            base = (_EPOCH + timedelta(seconds=whole)).isoformat()
+        except OverflowError:
+            raise ValueError(f"{self.epoch_millis} ms lies outside the years 1-9999") from None
         if ms:
             return base + f".{ms:03d}".rstrip("0")
         return base

@@ -6,9 +6,18 @@ than a generic schema engine).  The same reading code backs both surfaces:
 parsing raises on the first broken rule, validation records every broken
 rule and keeps going, so a document validates clean exactly when it parses.
 
-Canonical output is UTF-8 with unit attributes omitted when they carry the
-default (altitude M, distance m, speed knots); round-trip equality is
-therefore defined on the model, not on the bytes.
+Canonical output is UTF-8 after an XML declaration, with no whitespace of
+its own, written directly as strings by ElementTree's rules, frozen:
+- an element with no text and no children is `<tag />`;
+- text escapes & < >; attribute values also " CR LF TAB (`&#10;` for LF);
+- doubles are repr() less a trailing ".0"; dateTime years have 4 digits;
+- a unit attribute is omitted when it is the default (M, m, knots);
+- locale extension fragments are re-read and written with every namespace
+  declared on the root, sorted by prefix as strings (ns10 before ns2).  A
+  namespace takes a well-known prefix (xsi, xs, dc, ...) or else
+  `ns{namespaces declared so far}`, in document order, tag before
+  attribute names; xml is never declared.
+Round-trip equality is therefore defined on the model, not on the bytes.
 """
 
 from __future__ import annotations
@@ -424,12 +433,23 @@ def _read_email(ctx: _Ctx, el: ET.Element, path):
     return value
 
 
-def _read_quantity(ctx, el, path, cls, unit_enum, default_unit, non_negative, what):
+# quantity elements: class, the default unit (omitted when written),
+# whether negative values breach, and the name breaches use
+_QUANTITIES = {
+    "altitude": (Altitude, AltitudeUnit.METRES, False, "altitude"),
+    "speed": (Speed, SpeedUnit.KNOTS, True, "speed"),
+    "radius": (Distance, DistanceUnit.M, True, "distance"),
+}
+
+
+def _read_quantity(ctx: _Ctx, el: ET.Element, path, local: str):
+    cls, default_unit, non_negative, what = _QUANTITIES[local]
     ok = _check_attrs(ctx, el, path, allowed=("unit",))
     v = _read_double(ctx, el, path)
     raw_unit = el.get("unit")
     unit = default_unit
     if raw_unit is not None:
+        unit_enum = type(default_unit)
         try:
             unit = unit_enum(raw_unit)
         except ValueError:
@@ -445,12 +465,6 @@ def _read_quantity(ctx, el, path, cls, unit_enum, default_unit, non_negative, wh
         ctx.fail(path, "minInclusive", f"{what} {v!r} violates minInclusive=0")
         return _BAD
     return cls(v, unit)
-
-
-def _read_distance(ctx: _Ctx, el: ET.Element, path):
-    return _read_quantity(
-        ctx, el, path, Distance, DistanceUnit, DistanceUnit.M, True, "distance"
-    )
 
 
 def _optional_fields(fields, what: str, required=()):
@@ -531,56 +545,44 @@ def _read_id(ctx: _Ctx, el: ET.Element, path):
     return Id(_ID_KINDS[local], value)
 
 
-_LATLONG = _grammar(
+def _compound(make, *particles, check_attrs=True):
+    """A reader of an element read by one or two `particles`, whose values
+    `make` combines unless one failed."""
+    grammar = _grammar(*particles)
+    if len(grammar) == 1:
+        def read(ctx: _Ctx, el: ET.Element, path):
+            (a,) = _walk(ctx, el, path, grammar, check_attrs)
+            return _BAD if a is _BAD else make(a)
+    else:
+        def read(ctx: _Ctx, el: ET.Element, path):
+            a, b = _walk(ctx, el, path, grammar, check_attrs)
+            return _BAD if a is _BAD or b is _BAD else make(a, b)
+    return read
+
+
+_read_latlong = _compound(
+    LatLongCoordinate,
     ("latitude", "1", _double(-90.0, 90.0, "latitude")),
     ("longitude", "1", _double(-180.0, 180.0, "longitude")),
 )
-
-
-def _read_latlong(ctx: _Ctx, el: ET.Element, path):
-    lat, lon = _walk(ctx, el, path, _LATLONG)
-    if lat is _BAD or lon is _BAD:
-        return _BAD
-    return LatLongCoordinate(lat, lon)
-
-
-_COORDINATE = _grammar(("latLongCoordinate", "?", _read_latlong))
-
-
-def _read_coordinate(ctx: _Ctx, el: ET.Element, path):
-    return _walk(ctx, el, path, _COORDINATE, check_attrs=False)[0]
-
-
-_PHYSICAL = _grammar(("coordinate", "?", _read_coordinate))
-
-
-def _read_physical(ctx: _Ctx, el: ET.Element, path):
-    (coord,) = _walk(ctx, el, path, _PHYSICAL)
-    return _BAD if coord is _BAD else PhysicalLocation(coord)
-
-
-_CIRCULAR = _grammar(("centre", "1", _read_physical), ("radius", "1", _read_distance))
-_RECTANGULAR = _grammar(("topLeft", "1", _read_physical), ("bottomRight", "1", _read_physical))
-
-
-def _read_circular(ctx: _Ctx, el: ET.Element, path):
-    centre, radius = _walk(ctx, el, path, _CIRCULAR, check_attrs=False)
-    if centre is _BAD or radius is _BAD:
-        return _BAD
-    return CircularBounds(centre, radius)
-
-
-def _read_rectangular(ctx: _Ctx, el: ET.Element, path):
-    top_left, bottom_right = _walk(ctx, el, path, _RECTANGULAR, check_attrs=False)
-    if top_left is _BAD or bottom_right is _BAD:
-        return _BAD
-    return RectangularBounds(top_left, bottom_right)
-
-
+_read_coordinate = _compound(
+    lambda coordinate: coordinate, ("latLongCoordinate", "?", _read_latlong), check_attrs=False
+)
+_read_physical = _compound(PhysicalLocation, ("coordinate", "?", _read_coordinate))
 _BOUNDS_FORMS = {
     "horizon": lambda ctx, el, path: Horizon(el.text or ""),
-    "circularBounds": _read_circular,
-    "rectangularBounds": _read_rectangular,
+    "circularBounds": _compound(
+        CircularBounds,
+        ("centre", "1", _read_physical),
+        ("radius", "1", lambda ctx, el, p: _read_quantity(ctx, el, p, "radius")),
+        check_attrs=False,
+    ),
+    "rectangularBounds": _compound(
+        RectangularBounds,
+        ("topLeft", "1", _read_physical),
+        ("bottomRight", "1", _read_physical),
+        check_attrs=False,
+    ),
 }
 
 
@@ -602,22 +604,16 @@ def _read_bounds(ctx: _Ctx, el: ET.Element, path):
     return result
 
 
-_REGION = _grammar(("distinguishedPoint", "1", _read_physical), ("bounds", "1", _read_bounds))
+_read_region = _compound(
+    Region, ("distinguishedPoint", "1", _read_physical), ("bounds", "1", _read_bounds)
+)
 
 
-def _read_region(ctx: _Ctx, el: ET.Element, path):
-    point, bounds = _walk(ctx, el, path, _REGION)
-    if point is _BAD or bounds is _BAD:
-        return _BAD
-    return Region(point, bounds)
-
-
-_INFORMATION = _grammar(("info", "*", _read_text), ("link", "*", _read_text))
-
-
-def _read_information(ctx: _Ctx, el: ET.Element, path):
-    info, links = _walk(ctx, el, path, _INFORMATION)
-    return Information(tuple(info), tuple(links))
+_read_information = _compound(
+    lambda info, links: Information(tuple(info), tuple(links)),
+    ("info", "*", _read_text),
+    ("link", "*", _read_text),
+)
 
 
 _CLASSIFICATION = _grammar(("classificationType", "*", _read_text))
@@ -641,35 +637,21 @@ _ADDRESS_FIELDS = (
     ("webAddress", "web_address", _read_text),
     ("email", "email", _read_email),
 )
-_ADDRESS = _grammar((None, "...", _optional_fields(_ADDRESS_FIELDS, "address")))
-
-
-def _read_address(ctx: _Ctx, el: ET.Element, path):
-    (fields,) = _walk(ctx, el, path, _ADDRESS)
-    return _BAD if fields is _BAD else Address(**fields)
-
-
-_PRODUCT = _grammar(("openTime", "1", _read_time_of_day), ("closeTime", "1", _read_time_of_day))
-
-
-def _read_product(ctx: _Ctx, el: ET.Element, path):
-    open_time, close_time = _walk(ctx, el, path, _PRODUCT, check_attrs=False)
-    if open_time is _BAD or close_time is _BAD:
-        return _BAD
-    return open_time, close_time
-
-
-_ADDRESS_LOCATION = _grammar(
-    ("productLocation", "?", _read_product), ("address", "1", _read_address)
-)
-
-
-def _read_address_location(ctx: _Ctx, el: ET.Element, path):
-    return _walk(ctx, el, path, _ADDRESS_LOCATION, check_attrs=False)  # [product, address]
-
-
 _CLASSIFIED = _grammar(
-    ("addressLocation", "?", _read_address_location),
+    ("addressLocation", "?", _compound(
+        lambda product, address: (product, address),
+        ("productLocation", "?", _compound(
+            lambda open_time, close_time: (open_time, close_time),
+            ("openTime", "1", _read_time_of_day),
+            ("closeTime", "1", _read_time_of_day),
+            check_attrs=False,
+        )),
+        ("address", "1", _compound(
+            lambda fields: Address(**fields),
+            (None, "...", _optional_fields(_ADDRESS_FIELDS, "address")),
+        )),
+        check_attrs=False,
+    )),
     ("classification", "*", _read_classification),
     ("description", "1", _read_text),
 )
@@ -677,14 +659,12 @@ _CLASSIFIED = _grammar(
 
 def _read_classified(ctx: _Ctx, el: ET.Element, path):
     located, classifications, description = _walk(ctx, el, path, _CLASSIFIED)
-    product = address = None
-    if located is not None:
-        product, address = located
-    if product is _BAD or address is _BAD or classifications is _BAD or description is _BAD:
+    if located is _BAD or classifications is _BAD or description is _BAD:
         return _BAD
     classifications = tuple(classifications)
     if located is None:
         return ClassifiedLocation(classifications, description)
+    product, address = located
     if product is None:
         return AddressLocation(classifications, description, address)
     return ProductLocation(classifications, description, address, *product)
@@ -722,11 +702,14 @@ def _read_locale(ctx: _Ctx, el: ET.Element, path):
 
 
 def _read_extensions(ctx: _Ctx, kids: list, path) -> tuple[str, ...]:
-    extensions = []
+    """Each child left as a fragment string, written as serializing writes
+    it but declaring its own namespaces."""
+    fragments = []
     for ext in kids:
-        ext.tail = None  # the fragment string must not drag document whitespace
-        extensions.append(ET.tostring(ext, encoding="unicode"))
-    return tuple(extensions)
+        ns: dict = {}
+        written = _foreign(ext, ns)
+        fragments.append(_declare(ns, written, 1 + len(_qualified(ext.tag, ns))))
+    return tuple(fragments)
 
 
 _SYMBOLIC = _grammar(
@@ -780,10 +763,8 @@ def _read_where(ctx: _Ctx, el: ET.Element, path):
 
 # (local name, keyword on Observation, reader), in schema order
 _OBS_OPTIONAL = (
-    ("altitude", "altitude", lambda ctx, el, p: _read_quantity(
-        ctx, el, p, Altitude, AltitudeUnit, AltitudeUnit.METRES, False, "altitude")),
-    ("speed", "speed", lambda ctx, el, p: _read_quantity(
-        ctx, el, p, Speed, SpeedUnit, SpeedUnit.KNOTS, True, "speed")),
+    ("altitude", "altitude", lambda ctx, el, p: _read_quantity(ctx, el, p, "altitude")),
+    ("speed", "speed", lambda ctx, el, p: _read_quantity(ctx, el, p, "speed")),
     ("course", "course", _double(0.0, 360.0, "course")),
     ("magneticVariation", "magnetic_variation", _double(0.0, 360.0, "magneticVariation")),
     ("satellitesVisible", "satellites_visible", _read_sat_count),
@@ -807,21 +788,12 @@ def _read_observation(ctx: _Ctx, el: ET.Element, path):
     return Observation(time_of_observation=t, where=where, **fields)
 
 
-_STEP = _grammar(("dateTime", "1", _read_datetime), ("description", "1", _read_text))
-
-
-def _read_step(ctx: _Ctx, el: ET.Element, path):
-    when, description = _walk(ctx, el, path, _STEP, check_attrs=False)
-    if when is _BAD or description is _BAD:
-        return _BAD
-    return ProcessingStep(when, description)
-
-
-_SEQUENCE = _grammar(("processingStep", "*", _read_step))
-
-
-def _read_sequence(ctx: _Ctx, el: ET.Element, path):
-    return _walk(ctx, el, path, _SEQUENCE, check_attrs=False)[0]
+_read_sequence = _compound(tuple, ("processingStep", "*", _compound(
+    ProcessingStep,
+    ("dateTime", "1", _read_datetime),
+    ("description", "1", _read_text),
+    check_attrs=False,
+)), check_attrs=False)
 
 
 _EVENT = _grammar(
@@ -835,7 +807,7 @@ def _read_event(ctx: _Ctx, root: ET.Element):
     event_id, steps, observations = _walk(ctx, root, "/locationEvent", _EVENT)
     if event_id is _BAD or steps is _BAD or observations is _BAD:
         return _BAD
-    return LocationEvent(event_id, tuple(steps), tuple(observations))
+    return LocationEvent(event_id, steps, tuple(observations))
 
 
 def _document_root(ctx: _Ctx, document):
@@ -928,7 +900,25 @@ def parse_where(fragment) -> Where:
 
 
 # ---------------------------------------------------------------------------
-# Writing
+# Writing: each writer returns the canonical string of one element.  `ns`
+# maps each foreign namespace written so far to its prefix; the
+# declarations go on the root once the whole document is written.
+
+# ElementTree's built-in prefixes, frozen so that register_namespace
+# elsewhere in the process cannot change canonical bytes
+_PREFIXES = {
+    "http://www.w3.org/XML/1998/namespace": "xml",
+    "http://www.w3.org/1999/xhtml": "html",
+    "http://www.w3.org/1999/02/22-rdf-syntax-ns#": "rdf",
+    "http://schemas.xmlsoap.org/wsdl/": "wsdl",
+    "http://www.w3.org/2001/XMLSchema": "xs",
+    "http://www.w3.org/2001/XMLSchema-instance": "xsi",
+    "http://purl.org/dc/elements/1.1/": "dc",
+}
+_TEXT = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"))
+_ATTR = _TEXT + (('"', "&quot;"), ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;"))
+_XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>\n'
+_NS_ATTR = f' xmlns="{NS}"'
 
 
 def _fmt_double(v: float) -> str:
@@ -936,183 +926,187 @@ def _fmt_double(v: float) -> str:
     return s[:-2] if s.endswith(".0") else s
 
 
-def _sub(parent: ET.Element, tag: str, text: Optional[str] = None) -> ET.Element:
-    el = ET.SubElement(parent, tag)
-    if text is not None:
-        el.text = text
-    return el
+def _escape(s: str, escapes=_TEXT) -> str:
+    for char, reference in escapes:
+        if char in s:
+            s = s.replace(char, reference)
+    return s
 
 
-def _write_quantity(parent, tag, q, default_unit) -> ET.Element:
-    el = _sub(parent, tag, _fmt_double(q.value))
-    if q.unit is not default_unit:
-        el.set("unit", q.unit.value)
-    return el
+def _el(tag: str, content: str) -> str:
+    return f"<{tag}>{content}</{tag}>" if content else f"<{tag} />"
 
 
-def _write_physical(parent: ET.Element, tag: str, p: PhysicalLocation):
-    el = _sub(parent, tag)
-    if p.coordinate is not None:
-        ll = _sub(_sub(el, "coordinate"), "latLongCoordinate")
-        _sub(ll, "latitude", _fmt_double(p.coordinate.latitude))
-        _sub(ll, "longitude", _fmt_double(p.coordinate.longitude))
+def _leaf(tag: str, text: Optional[str]) -> str:
+    return f"<{tag}>{_escape(text)}</{tag}>" if text else f"<{tag} />"
 
 
-def _write_region(parent: ET.Element, tag: str, r: Region):
-    el = _sub(parent, tag)
-    _write_physical(el, "distinguishedPoint", r.distinguished_point)
-    bounds = _sub(el, "bounds")
+def _leaves(tag: str, texts) -> str:
+    return "".join([_leaf(tag, text) for text in texts])
+
+
+def _qualified(name: str, ns: dict) -> str:
+    """`prefix:local` for a `{uri}local` name; other names pass unchanged."""
+    if name[:1] != "{":
+        return name
+    uri, local = name[1:].rsplit("}", 1)
+    prefix = ns.get(uri)
+    if prefix is None:
+        prefix = _PREFIXES.get(uri) or f"ns{len(ns)}"
+        if prefix != "xml":  # bound by XML itself, never declared
+            ns[uri] = prefix
+    return f"{prefix}:{local}"
+
+
+def _declare(ns: dict, written: str, cut: int) -> str:
+    """`written` with the declarations of `ns` after the root's name, at `cut`."""
+    if not ns:
+        return written
+    decls = sorted(ns.items(), key=lambda item: item[1])
+    declared = "".join(f' xmlns:{p}="{_escape(uri, _ATTR)}"' for uri, p in decls)
+    return written[:cut] + declared + written[cut:]
+
+
+def _foreign(el: ET.Element, ns: dict) -> str:
+    """An extension fragment's element, without its tail."""
+    tag = _qualified(el.tag, ns)
+    attrs = "".join([f' {_qualified(k, ns)}="{_escape(v, _ATTR)}"' for k, v in el.items()])
+    kids = "".join([_foreign(kid, ns) + _escape(kid.tail or "") for kid in el])
+    content = _escape(el.text or "") + kids
+    return f"<{tag}{attrs}>{content}</{tag}>" if content else f"<{tag}{attrs} />"
+
+
+def _quantity(tag: str, q) -> str:
+    if q.unit is _QUANTITIES[tag][1]:
+        return f"<{tag}>{_fmt_double(q.value)}</{tag}>"
+    return f'<{tag} unit="{_escape(q.unit.value, _ATTR)}">{_fmt_double(q.value)}</{tag}>'
+
+
+def _physical(tag: str, p: PhysicalLocation) -> str:
+    c = p.coordinate
+    if c is None:
+        return f"<{tag} />"
+    return (
+        f"<{tag}><coordinate><latLongCoordinate><latitude>{_fmt_double(c.latitude)}"
+        f"</latitude><longitude>{_fmt_double(c.longitude)}</longitude>"
+        f"</latLongCoordinate></coordinate></{tag}>"
+    )
+
+
+def _region(tag: str, r: Region) -> str:
     b = r.bounds
+    bounds = ""
     if isinstance(b, Horizon):
-        _sub(bounds, "horizon", b.description)
+        bounds = _leaf("horizon", b.description)
     elif isinstance(b, CircularBounds):
-        cb = _sub(bounds, "circularBounds")
-        _write_physical(cb, "centre", b.centre)
-        _write_quantity(cb, "radius", b.radius, DistanceUnit.M)
+        centre = _physical("centre", b.centre)
+        bounds = _el("circularBounds", centre + _quantity("radius", b.radius))
     elif isinstance(b, RectangularBounds):
-        rb = _sub(bounds, "rectangularBounds")
-        _write_physical(rb, "topLeft", b.top_left)
-        _write_physical(rb, "bottomRight", b.bottom_right)
+        corners = _physical("topLeft", b.top_left) + _physical("bottomRight", b.bottom_right)
+        bounds = _el("rectangularBounds", corners)
+    point = _physical("distinguishedPoint", r.distinguished_point)
+    return f"<{tag}>{point}{_el('bounds', bounds)}</{tag}>"
 
 
-def _write_information(parent: ET.Element, info: Information):
-    el = _sub(parent, "information")
-    for text in info.info:
-        _sub(el, "info", text)
-    for link in info.links:
-        _sub(el, "link", link)
+def _classifications(cs) -> str:
+    return "".join([_el("classification", _leaves("classificationType", c.types)) for c in cs])
 
 
-def _write_classification(parent: ET.Element, c: Classification):
-    el = _sub(parent, "classification")
-    for t in c.types:
-        _sub(el, "classificationType", t)
-
-
-def _write_address(parent: ET.Element, a: Address):
-    el = _sub(parent, "address")
-    for local, attr, _ in _ADDRESS_FIELDS:
-        value = getattr(a, attr)
-        if value is not None:
-            _sub(el, local, value)
-
-
-def _write_classified(parent: ET.Element, c: ClassifiedLocation):
-    el = _sub(parent, "classifiedLocation")
+def _classified(c: ClassifiedLocation) -> str:
+    located = ""
     if isinstance(c, AddressLocation):
-        al = _sub(el, "addressLocation")
         if isinstance(c, ProductLocation):
-            pl = _sub(al, "productLocation")
-            _sub(pl, "openTime", c.open_time.lexical())
-            _sub(pl, "closeTime", c.close_time.lexical())
-        _write_address(al, c.address)
-    for cl in c.classifications:
-        _write_classification(el, cl)
-    _sub(el, "description", c.description)
+            located = (
+                f"<productLocation><openTime>{c.open_time.lexical()}</openTime>"
+                f"<closeTime>{c.close_time.lexical()}</closeTime></productLocation>"
+            )
+        fields = [(local, getattr(c.address, attr)) for local, attr, _ in _ADDRESS_FIELDS]
+        address = "".join([_leaf(local, v) for local, v in fields if v is not None])
+        located = _el("addressLocation", located + _el("address", address))
+    located += _classifications(c.classifications) + _leaf("description", c.description)
+    return _el("classifiedLocation", located)
 
 
-def _write_symbolic(parent: ET.Element, tag: str, s: SymbolicLocation):
-    el = _sub(parent, tag)
-    if isinstance(s.subtype, ClassifiedLocation):
-        _write_classified(el, s.subtype)
-    elif isinstance(s.subtype, Landmark):
-        _sub(el, "landmark", s.subtype.name)
-    elif isinstance(s.subtype, District):
-        _sub(el, "district", s.subtype.name)
-    _write_information(el, s.information)
-    _write_region(el, "region", s.region)
-    for loc in s.locales:
-        _write_locale(el, "locale", loc)
-    _sub(el, "fixed", "true" if s.fixed else "false")
+def _symbolic(ns: dict, tag: str, s: SymbolicLocation) -> str:
+    subtype = s.subtype
+    head = ""
+    if isinstance(subtype, ClassifiedLocation):
+        head = _classified(subtype)
+    elif isinstance(subtype, Landmark):
+        head = _leaf("landmark", subtype.name)
+    elif isinstance(subtype, District):
+        head = _leaf("district", subtype.name)
+    info = s.information
+    head += _el("information", _leaves("info", info.info) + _leaves("link", info.links))
+    locales = "".join([_locale(ns, "locale", loc) for loc in s.locales])
+    fixed = "true" if s.fixed else "false"
+    return f"<{tag}>{head}{_region('region', s.region)}{locales}<fixed>{fixed}</fixed></{tag}>"
 
 
-def _write_locale(parent: ET.Element, tag: str, loc: Locale):
-    el = _sub(parent, tag)
-    if loc.parent is not None:
-        _write_locale(el, "parent", loc.parent)
-    for c in loc.classifications:
-        _write_classification(el, c)
-    for s in loc.contents:
-        _write_symbolic(el, "contents", s)
-    for n in loc.neighbours:
-        _write_locale(el, "neighbours", n)
+def _locale(ns: dict, tag: str, loc: Locale) -> str:
+    parts = [] if loc.parent is None else [_locale(ns, "parent", loc.parent)]
+    parts.append(_classifications(loc.classifications))
+    parts += [_symbolic(ns, "contents", s) for s in loc.contents]
+    parts += [_locale(ns, "neighbours", n) for n in loc.neighbours]
     for frag in loc.extensions:
         try:
-            el.append(ET.fromstring(frag))
+            parts.append(_foreign(ET.fromstring(frag), ns))
         except ET.ParseError as e:
             raise NotWellFormed(f"locale extension fragment: {e}") from None
+    return _el(tag, "".join(parts))
 
 
-def _fill_where(el: ET.Element, w: Where):
+def _where(ns: dict, head: str, w: Where) -> str:
+    """A where element whose start tag begins with `head`."""
     if w.name is not None:
-        el.set("name", w.name)
+        head += f' name="{_escape(w.name, _ATTR)}"'
     if w.gloss_urn is not None:
-        el.set("glossURN", w.gloss_urn)
+        head += f' glossURN="{_escape(w.gloss_urn, _ATTR)}"'
     p = w.payload
     if p is None:
-        return
+        return head + " />"
     if isinstance(p, SymbolicLocation):
-        _write_symbolic(el, "symbolicLocation", p)
+        payload = _symbolic(ns, "symbolicLocation", p)
     elif isinstance(p, PhysicalLocation):
-        _write_physical(el, "physicalLocation", p)
+        payload = _physical("physicalLocation", p)
     elif isinstance(p, Region):
-        _write_region(el, "region", p)
+        payload = _region("region", p)
     elif isinstance(p, Locale):
-        _write_locale(el, "locale", p)
+        payload = _locale(ns, "locale", p)
     else:
         raise TypeError(f"not a Where payload: {type(p).__name__}")
+    return f"{head}>{payload}</where>"
 
 
-def _write_observation(parent: ET.Element, o: Observation):
-    el = _sub(parent, "observation")
-    _sub(el, "timeOfObservation", o.time_of_observation.lexical())
-    _fill_where(_sub(el, "where"), o.where)
-    if o.altitude is not None:
-        _write_quantity(el, "altitude", o.altitude, AltitudeUnit.METRES)
-    if o.speed is not None:
-        _write_quantity(el, "speed", o.speed, SpeedUnit.KNOTS)
-    if o.course is not None:
-        _sub(el, "course", _fmt_double(o.course))
-    if o.magnetic_variation is not None:
-        _sub(el, "magneticVariation", _fmt_double(o.magnetic_variation))
-    if o.satellites_visible is not None:
-        _sub(el, "satellitesVisible", str(o.satellites_visible))
-    for tag, value in (
-        ("PDOP", o.pdop),
-        ("HDOP", o.hdop),
-        ("VDOP", o.vdop),
-        ("HPE", o.hpe),
-        ("VPE", o.vpe),
-    ):
-        if value is not None:
-            _sub(el, tag, _fmt_double(value))
-
-
-_XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>\n'
-
-
-def _to_bytes(root: ET.Element) -> bytes:
-    body = ET.tostring(root, encoding="unicode")
-    return (_XML_DECL + body).encode("utf-8")
+def _observation(ns: dict, o: Observation) -> str:
+    parts = [f"<observation><timeOfObservation>{o.time_of_observation.lexical()}"
+             f"</timeOfObservation>{_where(ns, '<where', o.where)}"]
+    for local, keyword, _ in _OBS_OPTIONAL:
+        value = getattr(o, keyword)
+        if value is not None:  # satellitesVisible is an int 0-12: _fmt_double gives str()
+            parts.append(_quantity(local, value) if local in _QUANTITIES
+                         else f"<{local}>{_fmt_double(value)}</{local}>")
+    return "".join(parts) + "</observation>"
 
 
 def serialize_location_event(e: LocationEvent) -> bytes:
     """Canonical UTF-8 document; default unit attributes omitted."""
-    root = ET.Element("locationEvent", {"xmlns": NS})
-    id_el = _sub(root, "ID")
-    _sub(id_el, e.id.kind.value, e.id.value)
-    ps = _sub(root, "processingSequence")
-    for step in e.processing_sequence:
-        step_el = _sub(ps, "processingStep")
-        _sub(step_el, "dateTime", step.date_time.lexical())
-        _sub(step_el, "description", step.description)
-    for o in e.observations:
-        _write_observation(root, o)
-    return _to_bytes(root)
+    ns: dict = {}
+    steps = "".join([
+        f"<processingStep><dateTime>{step.date_time.lexical()}</dateTime>"
+        f"{_leaf('description', step.description)}</processingStep>"
+        for step in e.processing_sequence
+    ])
+    written = (
+        f"<locationEvent{_NS_ATTR}><ID>{_leaf(e.id.kind.value, e.id.value)}</ID>"
+        f"{_el('processingSequence', steps)}"
+        + "".join([_observation(ns, o) for o in e.observations]) + "</locationEvent>"
+    )
+    return (_XML_DECL + _declare(ns, written, len("<locationEvent"))).encode("utf-8")
 
 
 def serialize_where(w: Where) -> bytes:
     """Standalone `<where>` fragment in the wire namespace."""
-    root = ET.Element("where", {"xmlns": NS})
-    _fill_where(root, w)
-    return _to_bytes(root)
+    ns: dict = {}
+    written = _where(ns, "<where" + _NS_ATTR, w)
+    return (_XML_DECL + _declare(ns, written, len("<where"))).encode("utf-8")

@@ -130,6 +130,34 @@ class TestFraming:
         with pytest.raises(OSError):
             write_frame(Short(), b"alpha")
 
+    class _Pieces(io.RawIOBase):
+        """A source whose reads each return at most the next piece."""
+
+        def __init__(self, pieces):
+            self.pieces = list(pieces)
+
+        def read(self, size=-1):
+            if not self.pieces:
+                return b""
+            piece = self.pieces.pop(0)
+            if len(piece) > size:
+                piece, rest = piece[:size], piece[size:]
+                self.pieces.insert(0, rest)
+            return piece
+
+    def test_short_reads(self):
+        body = bytes(range(256)) * 40
+        header = len(body).to_bytes(4, "big")
+        for most in (1, 3, 4096):
+            pieces = [header] + [body[i : i + most] for i in range(0, len(body), most)]
+            assert read_frame(self._Pieces(pieces)) == body
+            with pytest.raises(EOFError, match="truncated frame body"):
+                read_frame(self._Pieces(pieces[:-1]))
+
+    def test_single_read_body_not_copied(self):
+        body = b"alpha" * 100
+        assert read_frame(self._Pieces([len(body).to_bytes(4, "big"), body])) is body
+
     def test_oversize_frame_refused(self):
         header = (64 * 1024 * 1024 + 1).to_bytes(4, "big")
         with pytest.raises(EOFError):

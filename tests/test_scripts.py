@@ -20,3 +20,16 @@ def test_demo_exits_cleanly(script):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_codec_bench_prints_each_step():
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "codec_bench.py"), "--n", "20", "--k", "1"],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    steps = [line.split()[0] for line in done.stdout.splitlines()[1:]]
+    assert steps == ["parse", "validate", "serialize"]

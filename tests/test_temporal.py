@@ -181,6 +181,36 @@ class TestTimeLexical:
             Time.from_lexical(text)
 
 
+def _strftime_lexical(t: Time) -> str:
+    """Time.lexical as it was: strftime, which does not pad years below 1000."""
+    whole, ms = divmod(t.epoch_millis, 1000)
+    base = datetime.fromtimestamp(whole, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+    return base + f".{ms:03d}".rstrip("0") if ms else base
+
+
+_YEAR_1000 = _millis(1000, 1, 1)
+_YEAR_10000 = _millis(9999, 12, 31, 23, 59, 59) + 1000
+
+
+class TestLexicalYears:
+    @given(st.integers(_YEAR_1000, _YEAR_10000 - 1))
+    @settings(max_examples=300)
+    def test_same_as_strftime_from_year_1000(self, millis):
+        assert Time(millis).lexical() == _strftime_lexical(Time(millis))
+
+    @pytest.mark.parametrize("year", [1, 500, 999])
+    def test_early_years_round_trip(self, year):
+        t = Time(_millis(year, 3, 1, 12, 30, 15, 250_000))
+        text = t.lexical()
+        assert text == f"{year:04d}-03-01T12:30:15.25"
+        assert Time.from_lexical(text) == t
+
+    @pytest.mark.parametrize("millis", [_millis(1, 1, 1) - 1, _YEAR_10000, 10**30, -(10**30)])
+    def test_outside_years_1_to_9999_rejected(self, millis):
+        with pytest.raises(ValueError):
+            Time(millis).lexical()
+
+
 class TestPeriod:
     def test_ordered_endpoints_ok(self):
         p = Period(Time(1000), Time(2000))

@@ -170,6 +170,18 @@ class TestCanonicalBytes:
         assert b"<latitude>56</latitude>" in data
         assert b"<longitude>-2.5</longitude>" in data
 
+    @pytest.mark.parametrize("year", [1, 500, 999])
+    def test_early_years_round_trip(self, year):
+        t = Time.from_lexical(f"{year:04d}-03-01T00:00:00")
+        e = LocationEvent(
+            Id(IdKind.BIT_STRING, "t"),
+            (ProcessingStep(t, "archived"),),
+            (Observation(time_of_observation=t, where=Where(None)),),
+        )
+        data = serialize_location_event(e)
+        assert f"<dateTime>{year:04d}-03-01T00:00:00</dateTime>".encode() in data
+        assert parse_location_event(data) == e
+
     def test_utf8_content_survives(self):
         e = LocationEvent(
             Id(IdKind.BIT_STRING, "smörgåsbord"),
