@@ -64,10 +64,13 @@ def write_frame(sink: BinaryIO, document: bytes):
 def read_frame(source: BinaryIO) -> Optional[bytes]:
     """One length-prefixed document, or None at a clean end of stream."""
     header = source.read(4)
-    if not header:
-        return None
-    if len(header) < 4:
-        raise EOFError("truncated frame header")
+    while len(header) < 4:  # nothing at all is a clean end; a short read is not
+        if not header:
+            return None
+        more = source.read(4 - len(header))
+        if not more:
+            raise EOFError("truncated frame header")
+        header += more
     (length,) = struct.unpack(">I", header)
     if length > _FRAME_CAP:
         raise EOFError(f"frame of {length} bytes exceeds the cap")

@@ -40,6 +40,7 @@ __all__ = [
     "distance_in_metres",
     "great_circle_distance",
     "pairs_within",
+    "components_within",
     "initial_bearing",
     "destination_point",
     "spherical_centroid",
@@ -122,7 +123,25 @@ def great_circle_distance(a: LatLongCoordinate, b: LatLongCoordinate) -> Distanc
     return Distance(_haversine_m(lat1, lon1, math.cos(lat1), lat2, lon2, math.cos(lat2)))
 
 
-_NEIGHBOURS = list(itertools.product((-1, 0, 1), repeat=3))
+def _unit_cells(points: list[LatLongCoordinate], eps_m: float):
+    """Radians, latitude cosines and grid cell of each point (see
+    pairs_within).  Cell (x, y, z) is numbered (x*m + y)*m + z, m being
+    over twice any |x|, |y|, |z| of a cell or its neighbour: one-to-one
+    and linear, so a cell's 27 neighbours are its number plus offsets."""
+    half_angle = min(eps_m / (2 * EARTH_RADIUS_M), math.pi / 2)
+    side = 2 * math.sin(half_angle) * (1 + 1e-9) + 1e-12
+    m = 2 * math.ceil(1 / side) + 6
+    lat = [math.radians(p.latitude) for p in points]
+    lon = [math.radians(p.longitude) for p in points]
+    cos_lat = list(map(math.cos, lat))
+    floor, cos, sin = math.floor, math.cos, math.sin
+    cells = [
+        (floor(cl * cos(lo) / side) * m + floor(cl * sin(lo) / side)) * m + floor(sin(la) / side)
+        for la, lo, cl in zip(lat, lon, cos_lat)
+    ]
+    steps = itertools.product((-1, 0, 1), repeat=3)  # lexicographic: [13] is (0, 0, 0)
+    offsets = [(dx * m + dy) * m + dz for dx, dy, dz in steps]
+    return lat, lon, cos_lat, cells, offsets
 
 
 def pairs_within(points: list[LatLongCoordinate], eps_m: float) -> list[tuple[int, int]]:
@@ -146,28 +165,72 @@ def pairs_within(points: list[LatLongCoordinate], eps_m: float) -> list[tuple[in
     """
     if not eps_m >= 0:
         return []
-    half_angle = min(eps_m / (2 * EARTH_RADIUS_M), math.pi / 2)
-    side = 2 * math.sin(half_angle) * (1 + 1e-9) + 1e-12
+    lat, lon, cos_lat, cells, offsets = _unit_cells(points, eps_m)
     kernel = _haversine_m
-    lat, lon, cos_lat = [], [], []
-    grid: dict[tuple[int, int, int], list[int]] = {}
+    grid: dict[int, list[int]] = {}
     pairs = []
-    for i, p in enumerate(points):
-        la, lo = math.radians(p.latitude), math.radians(p.longitude)
-        cl = math.cos(la)
-        lat.append(la)
-        lon.append(lo)
-        cos_lat.append(cl)
-        cx = math.floor(cl * math.cos(lo) / side)
-        cy = math.floor(cl * math.sin(lo) / side)
-        cz = math.floor(math.sin(la) / side)
+    for i, cell in enumerate(cells):
+        la, lo, cl = lat[i], lon[i], cos_lat[i]
         # only points already in the grid (j < i), so each pair is tested once
-        for dx, dy, dz in _NEIGHBOURS:
-            for j in grid.get((cx + dx, cy + dy, cz + dz), ()):
+        for offset in offsets:
+            for j in grid.get(cell + offset, ()):
                 if kernel(lat[j], lon[j], cos_lat[j], la, lo, cl) <= eps_m:
                     pairs.append((j, i))
-        grid.setdefault((cx, cy, cz), []).append(i)
+        grid.setdefault(cell, []).append(i)
     return pairs
+
+
+def components_within(points: list[LatLongCoordinate], eps_m: float) -> list[int]:
+    """Single-linkage components at eps_m (chains of pairs_within's
+    pairs), numbered by first appearance in input order.
+
+    Searched on pairs_within's grid without listing pairs, after de Berg,
+    Gunawan and Roeloffzen (arXiv:1702.08607).  A point joins the first
+    group in its cell whose leader (first point) is within eps_m, or
+    leads a new one; then groups in one or neighbouring cells, unless
+    already joined, join at the first pair within eps_m between them.
+    Sound: each join rests on one pair's haversine test, symmetric bit
+    for bit.  Complete: a true pair's points lie in neighbouring cells
+    (see pairs_within), so their groups are compared.  A cell's leaders
+    are over eps_m apart, hence few: a dense spot costs about one test
+    per point, not one per pair."""
+    if not eps_m >= 0:
+        return list(range(len(points)))
+    lat, lon, cos_lat, cells, offsets = _unit_cells(points, eps_m)
+    kernel = _haversine_m
+    parent = list(range(len(points)))  # union-find, path halving; a member points at its leader
+    leaders: dict[int, list[int]] = {}  # cell -> the first points of its groups
+    members: dict[int, list[int]] = {}  # leader -> its group
+    for i, cell in enumerate(cells):
+        here = leaders.setdefault(cell, [])
+        for j in here:
+            if kernel(lat[j], lon[j], cos_lat[j], lat[i], lon[i], cos_lat[i]) <= eps_m:
+                members[j].append(i)
+                parent[i] = j
+                break
+        else:
+            here.append(i)
+            members[i] = [i]
+
+    def root(g):
+        while parent[g] != g:
+            parent[g] = g = parent[parent[g]]
+        return g
+
+    # leader pairs in one cell, then across the 13 positive offsets: each cell pair once
+    candidates = [pair for here in leaders.values() for pair in itertools.combinations(here, 2)]
+    for offset in offsets[14:]:
+        for cell in leaders.keys() & map(offset.__add__, leaders):
+            candidates += itertools.product(leaders[cell - offset], leaders[cell])
+    for g, h in candidates:
+        a, b = root(g), root(h)
+        if a != b and any(
+            kernel(lat[p], lon[p], cos_lat[p], lat[q], lon[q], cos_lat[q]) <= eps_m
+            for p in members[g] for q in members[h]
+        ):
+            parent[b] = a
+    numbers: dict[int, int] = {}
+    return [numbers.setdefault(root(i), len(numbers)) for i in range(len(points))]
 
 
 def initial_bearing(a: LatLongCoordinate, b: LatLongCoordinate) -> float:

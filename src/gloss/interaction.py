@@ -254,34 +254,34 @@ class Placement:
 class Topology:
     """Placement of entities in one reference frame, at most one each,
     listed in the order of their last ``place`` (constructor order for the
-    rest).  An insertion-ordered dict, left out of ``==``, ``hash`` and
-    ``repr``, backs it: ``placement_of`` is one lookup, and ``place``
-    copies the dict, O(n) in C, and hashes only the moved entity."""
+    rest).  Backed by an insertion-ordered dict of ``(entity, Placement)``
+    pairs by entity, left out of ``==``, ``hash`` and ``repr``: ``place``
+    copies it in C, O(n), and hashes and pairs only the moved entity."""
 
     placements: tuple[tuple[object, Placement], ...] = ()
     _index: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "placements", tuple(self.placements))
         index = {}
         for entity, placement in self.placements:
             if entity in index:
                 raise ValueError(f"{entity!r} placed twice")
-            index[entity] = placement
+            index[entity] = (entity, placement)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "placements", tuple(index.values()))
 
     def place(self, entity, where: Where, orientation=None) -> "Topology":
         index = self._index.copy()
         index.pop(entity, None)  # re-inserted last: the moved entity goes to the end
-        index[entity] = Placement(where, orientation)
+        index[entity] = (entity, Placement(where, orientation))
         # the index names each entity once; skip __post_init__'s re-check
         topology = object.__new__(Topology)
         object.__setattr__(topology, "_index", index)
-        object.__setattr__(topology, "placements", tuple(index.items()))
+        object.__setattr__(topology, "placements", tuple(index.values()))
         return topology
 
     def placement_of(self, entity) -> Optional[Placement]:
-        return self._index.get(entity)
+        return self._index.get(entity, (None, None))[1]
 
 
 def _pair(a: InteractionResource, b: InteractionResource) -> frozenset:

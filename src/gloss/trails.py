@@ -23,9 +23,9 @@ from .errors import (
     Unresolvable,
 )
 from .geo import (
+    components_within,
     distance_in_metres,
     great_circle_distance,
-    pairs_within,
     resolved_point,
     spherical_centroid,
 )
@@ -36,7 +36,6 @@ from .model import (
     Id,
     IdKind,
     Information,
-    LatLongCoordinate,
     ModeTransport,
     PhysicalLocation,
     Region,
@@ -269,24 +268,7 @@ def record_observation(
 # --- distillation ---
 
 
-def _cluster_assignment(coords: list[LatLongCoordinate], eps_m: float) -> list[int]:
-    """Single-linkage components at threshold eps_m, numbered by first
-    appearance in input order."""
-    parent = list(range(len(coords)))  # union-find forest, path halving
-    for i, j in pairs_within(coords, eps_m):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
-        if i != j:  # roots differ: not yet joined
-            parent[j] = i
-    numbers: dict[int, int] = {}
-    out = []
-    for root in range(len(coords)):
-        while parent[root] != root:
-            root = parent[root]
-        out.append(numbers.setdefault(root, len(numbers)))
-    return out
+_cluster_assignment = components_within  # clusters at eps_m, numbered by first appearance
 
 
 def _merge_info(nodes: list[ObservedNode]) -> Information:

@@ -98,8 +98,29 @@ class TestFraming:
         assert read_frame(buf) is None
 
     def test_truncated_header(self):
-        with pytest.raises(EOFError):
+        with pytest.raises(EOFError, match="truncated frame header"):
             read_frame(io.BytesIO(b"\x00\x00"))
+
+    def test_header_split_across_reads(self):
+        class Trickle(io.RawIOBase):
+            """A stream that hands out one byte per read."""
+
+            def __init__(self, data):
+                self.data = data
+
+            def read(self, size=-1):
+                chunk, self.data = self.data[:1], self.data[1:]
+                return chunk
+
+        buf = io.BytesIO()
+        write_frame(buf, b"alpha")
+        write_frame(buf, b"")
+        source = Trickle(buf.getvalue())
+        assert read_frame(source) == b"alpha"
+        assert read_frame(source) == b""
+        assert read_frame(source) is None
+        with pytest.raises(EOFError, match="truncated frame header"):
+            read_frame(Trickle(b"\x00\x00\x00"))
 
     def test_truncated_body(self):
         buf = io.BytesIO()

@@ -16,6 +16,7 @@ from gloss.errors import (
 )
 from gloss.geo import (
     EARTH_RADIUS_M,
+    components_within,
     contains,
     convert_quantity,
     destination_point,
@@ -289,6 +290,65 @@ class TestPairsWithin:
         true_pairs = 10 * (48 * 47 // 2)
         assert len(pairs_within(points, eps)) == true_pairs
         assert calls <= 2 * true_pairs  # all pairs would be 114 960
+
+
+def _union_find_components(points, eps_m):
+    """Single-linkage components the direct way: union every pair
+    pairs_within lists, then number the roots by first appearance."""
+    parent = list(range(len(points)))  # union-find forest, path halving
+    for i, j in pairs_within(points, eps_m):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i != j:
+            parent[j] = i
+    numbers = {}
+    out = []
+    for root in range(len(points)):
+        while parent[root] != root:
+            root = parent[root]
+        out.append(numbers.setdefault(root, len(numbers)))
+    return out
+
+
+@st.composite
+def cluster_sets(draw):
+    """Like neighbour_sets, with eps from 0 and dense blobs wider than eps:
+    runs of up to 30 points within 3 eps of one anchor."""
+    eps = draw(
+        st.sampled_from([0.0, 1.0, 100.0, math.pi * EARTH_RADIUS_M, 4e7])
+        | st.floats(min_value=0.0, max_value=4e7)
+    )
+    anchors = draw(st.lists(edge_coords, min_size=1, max_size=4))
+    bearings = st.floats(0.0, 360.0)
+    points = []
+    for kind in draw(st.lists(st.sampled_from("aenbc"), max_size=12)):
+        anchor = draw(st.sampled_from(anchors))
+        if kind == "a":
+            points.append(anchor)
+        elif kind == "e":
+            points.append(destination_point(anchor, draw(bearings), eps))
+        elif kind in "nb":
+            for _ in range(draw(st.integers(1, 30)) if kind == "b" else 1):
+                away = draw(st.floats(0.0, 3 * eps))
+                points.append(destination_point(anchor, draw(bearings), away))
+        elif points:
+            points.append(draw(st.sampled_from(points)))
+    return points, eps
+
+
+class TestComponentsWithin:
+    @given(cluster_sets())
+    @settings(max_examples=300)
+    def test_matches_union_of_all_pairs(self, case):
+        points, eps = case
+        assert components_within(points, eps) == _union_find_components(points, eps)
+
+    @pytest.mark.parametrize("eps", [-1.0, math.nan, -math.inf])
+    def test_no_valid_radius_gives_singletons(self, eps):
+        points = [_point(0.0, 0.0)] * 3 + [_point(0.0, 1e-9)]
+        assert components_within(points, eps) == [0, 1, 2, 3]
 
 
 # -- bearings and travel ------------------------------------------------------

@@ -33,3 +33,16 @@ def test_codec_bench_prints_each_step():
     assert done.returncode == 0, done.stderr
     steps = [line.split()[0] for line in done.stdout.splitlines()[1:]]
     assert steps == ["parse", "validate", "serialize"]
+
+
+def test_distill_sweep_prints_each_layout():
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "distill_sweep.py"), "--n", "20", "--k", "1"],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    layouts = [line.split()[0] for line in done.stdout.splitlines()[2:]]
+    assert layouts == ["spot", "sites", "uniform"]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gloss import geo
 from gloss.errors import (
     EmptyInput,
     NoOrderExists,
@@ -221,6 +222,20 @@ class TestClustering:
     def test_numbering_follows_first_appearance(self):
         coords = [SITE_C, SITE_A, SITE_C, SITE_B]
         assert _cluster_assignment(coords, 100.0) == [0, 1, 0, 2]
+
+    def test_dense_spot_costs_a_few_tests_per_point(self, monkeypatch):
+        calls = 0
+        kernel = geo._haversine_m
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(geo, "_haversine_m", counting)
+        points = [destination_point(SITE_A, 137.5 * k, 20.0 * (k % 97) / 97) for k in range(1000)]
+        assert _cluster_assignment(points, 100.0) == [0] * 1000
+        assert calls <= 2 * len(points)  # testing every pair would take 499 500
 
 
 class TestDistill:
