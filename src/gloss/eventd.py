@@ -5,6 +5,10 @@ leaves the store untouched.  Every node in a relay chain leaves its mark:
 ingest stamps the stored copy with this node's processing step, forward
 stamps the outgoing copy.  Framing on the wire and in the journal is a
 4-byte big-endian length followed by the document bytes.
+
+Trail upkeep resolves each observation once per store: its policy key
+(see ``trails.policy_rule``) is computed when it is inserted, and a late
+arrival replays only decisions on the stored keys.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import struct
 import threading
 import time
 from bisect import bisect
-from dataclasses import replace
 from pathlib import Path as FilePath
 from typing import BinaryIO, Callable, Iterator, Optional
 
@@ -28,7 +31,7 @@ from .errors import (
 )
 from .model import Gazetteer, Id
 from .temporal import Time
-from .trails import Manual, ObservedNode, ObservedTrail, RecordingPolicy, admits
+from .trails import Manual, ObservedNode, ObservedTrail, RecordingPolicy, policy_rule
 from .wire import (
     LocationEvent,
     Observation,
@@ -89,11 +92,13 @@ class _Subject:
 
     def __init__(self, subject: Id):
         self.id = subject
-        self.entries: list[tuple[int, int, Observation]] = []  # (millis, arrival, obs), sorted
+        # (millis, arrival, obs, node, policy key or None if unplaceable), sorted
+        self.entries: list[tuple[int, int, Observation, ObservedNode, object]] = []
         self.kept: list[bool] = []  # per entry: did the policy keep it
         self.seen: set[Observation] = set()
         self.events: list[LocationEvent] = []
         self.nodes: list[ObservedNode] = []  # the kept entries' nodes
+        self.keys: list[object] = []  # and their policy keys
         self.trail: ObservedTrail | None = None  # built from nodes on demand
 
 
@@ -119,6 +124,7 @@ class EventStore:
         self.step_label = step_label
         self._clock = clock if clock is not None else _wall_clock
         self._policy = policy if policy is not None else Manual()
+        self._key, self._decide = policy_rule(self._policy, gazetteer)
         self._journal = FilePath(journal) if journal is not None else None
         self._sink: BinaryIO | None = None  # the journal's append handle, opened on first use
         self._gazetteer = gazetteer
@@ -154,7 +160,7 @@ class EventStore:
     def _ingest(self, document: bytes, journaled: bool) -> int:
         event = parse_location_event(document)
         step = ProcessingStep(self._clock(), self.step_label)
-        stored = replace(event, processing_sequence=event.processing_sequence + (step,))
+        stored = LocationEvent(event.id, event.processing_sequence + (step,), event.observations)
         with self._lock:
             record = self._subjects.get(event.id.key)
             if record is None:
@@ -165,9 +171,14 @@ class EventStore:
                 record.seen.add(obs)  # one hash: the size tells whether it was new
                 if len(record.seen) == seen:
                     continue
+                node = ObservedNode(obs.time_of_observation, obs.where)
+                try:
+                    key = self._key(node)
+                except (Unresolvable, EmptyWhere):
+                    key = None  # histories may hold wheres a spatial policy cannot place
                 self._arrivals += 1
-                entry = (obs.time_of_observation.epoch_millis, self._arrivals, obs)
-                at = bisect(record.entries, entry)  # arrivals are unique: obs never compared
+                entry = (obs.time_of_observation.epoch_millis, self._arrivals, obs, node, key)
+                at = bisect(record.entries, entry)  # arrivals are unique: nothing later is compared
                 record.entries.insert(at, entry)
                 record.kept.insert(at, False)
                 first = min(first, at)
@@ -184,17 +195,16 @@ class EventStore:
     def _refresh_trail(self, record: _Subject, first: int):
         # a decision depends only on the last kept node before the
         # candidate: keep every decision before `first`, redo the rest
-        kept, nodes = record.kept, record.nodes
-        del nodes[len(nodes) - sum(kept[first:]) :]
-        for i in range(first, len(record.entries)):
-            obs = record.entries[i][2]
-            node = ObservedNode(obs.time_of_observation, obs.where)
-            try:
-                kept[i] = admits(nodes[-1] if nodes else None, node, self._policy, self._gazetteer)
-            except (Unresolvable, EmptyWhere):
-                kept[i] = False  # histories may hold wheres a spatial policy cannot place
-            if kept[i]:
+        kept, nodes, keys, entries = record.kept, record.nodes, record.keys, record.entries
+        start = len(nodes) - sum(kept[first:])
+        del nodes[start:], keys[start:]
+        decide = self._decide
+        for i in range(first, len(entries)):
+            _, _, _, node, key = entries[i]
+            kept[i] = keep = not nodes or decide(keys[-1], key)  # the first node is always kept
+            if keep:
                 nodes.append(node)
+                keys.append(key)
         record.trail = None
 
     # -- reads --
@@ -213,7 +223,7 @@ class EventStore:
 
     def observations(self, subject: Id) -> tuple[Observation, ...]:
         with self._lock:
-            return tuple(obs for _, _, obs in self._record(subject).entries)
+            return tuple(entry[2] for entry in self._record(subject).entries)
 
     def events_for(self, subject: Id) -> tuple[LocationEvent, ...]:
         with self._lock:
@@ -246,7 +256,7 @@ def forward(store: EventStore, event: LocationEvent, sink: BinaryIO) -> Location
     without ingesting still leaves a trace in the processing sequence.
     """
     step = ProcessingStep(store.clock(), store.step_label)
-    stamped = replace(event, processing_sequence=event.processing_sequence + (step,))
+    stamped = LocationEvent(event.id, event.processing_sequence + (step,), event.observations)
     document = serialize_location_event(stamped)
     try:
         write_frame(sink, document)

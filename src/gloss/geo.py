@@ -26,6 +26,7 @@ from .model import (
     Gazetteer,
     Horizon,
     LatLongCoordinate,
+    PhysicalLocation,
     RectangularBounds,
     Region,
     Speed,
@@ -354,6 +355,11 @@ def intersects(r1: Region, r2: Region) -> bool:
 
 def resolved_point(where: Where, gazetteer: Gazetteer | None = None) -> LatLongCoordinate:
     """Collapse a where to its distinguished coordinate."""
+    payload = where.payload
+    if isinstance(payload, PhysicalLocation):  # resolve_region would wrap it in a Region
+        if payload.coordinate is None:
+            raise Unresolvable("physical location has no coordinate")
+        return payload.coordinate
     region = resolve_region(where, gazetteer)
     coordinate = region.distinguished_point.coordinate
     if coordinate is None:

@@ -68,20 +68,26 @@ __all__ = [
 
 
 class ScalarKind(Enum):
-    LATITUDE = "Latitude"
-    LONGITUDE = "Longitude"
-    BEARING = "Bearing"
-    NON_NEGATIVE = "NonNegativeDouble"
-    SAT_COUNT = "SatCount"
+    """A constrained scalar: the value is its wire type name, ``bounds`` its
+    closed interval and ``integral`` whether it takes whole numbers only."""
+
+    LATITUDE = ("Latitude", -90.0, 90.0)
+    LONGITUDE = ("Longitude", -180.0, 180.0)
+    BEARING = ("Bearing", 0.0, 360.0)
+    NON_NEGATIVE = ("NonNegativeDouble", 0.0, math.inf)
+    SAT_COUNT = ("SatCount", 0, 12)
+
+    def __new__(cls, type_name: str, lo: float, hi: float):
+        member = object.__new__(cls)
+        member._value_ = type_name
+        # plain attributes, so a check reads them without hashing the member
+        member.bounds = (lo, hi)
+        member.integral = isinstance(lo, int)
+        return member
 
 
-_SCALAR_RANGES = {
-    ScalarKind.LATITUDE: (-90.0, 90.0),
-    ScalarKind.LONGITUDE: (-180.0, 180.0),
-    ScalarKind.BEARING: (0.0, 360.0),
-    ScalarKind.NON_NEGATIVE: (0.0, math.inf),
-    ScalarKind.SAT_COUNT: (0, 12),
-}
+# the members as module globals: reading one off the Enum class is a slow lookup
+_LATITUDE, _LONGITUDE, _BEARING, _NON_NEGATIVE, _SAT_COUNT = ScalarKind
 
 
 def make_constrained(kind: ScalarKind, value: float) -> float:
@@ -90,8 +96,8 @@ def make_constrained(kind: ScalarKind, value: float) -> float:
     Returns the value unchanged (as int for SAT_COUNT).  Raises OutOfRange
     outside the interval, NotInteger for a fractional satellite count.
     """
-    lo, hi = _SCALAR_RANGES[kind]
-    if kind is ScalarKind.SAT_COUNT:
+    lo, hi = kind.bounds
+    if kind.integral:
         if isinstance(value, float) and not value.is_integer():
             raise NotInteger(f"satellite count must be integral, got {value!r}")
         value = int(value)
@@ -174,7 +180,7 @@ class Distance:
     unit: DistanceUnit = DistanceUnit.M
 
     def __post_init__(self):
-        make_constrained(ScalarKind.NON_NEGATIVE, self.value)
+        make_constrained(_NON_NEGATIVE, self.value)
 
 
 @dataclass(frozen=True)
@@ -183,7 +189,7 @@ class Speed:
     unit: SpeedUnit = SpeedUnit.KNOTS
 
     def __post_init__(self):
-        make_constrained(ScalarKind.NON_NEGATIVE, self.value)
+        make_constrained(_NON_NEGATIVE, self.value)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +236,8 @@ class LatLongCoordinate:
     longitude: float
 
     def __post_init__(self):
-        make_constrained(ScalarKind.LATITUDE, self.latitude)
-        make_constrained(ScalarKind.LONGITUDE, self.longitude)
+        make_constrained(_LATITUDE, self.latitude)
+        make_constrained(_LONGITUDE, self.longitude)
 
 
 @dataclass(frozen=True)
@@ -423,7 +429,7 @@ class CompassDirection:
     bearing: float
 
     def __post_init__(self):
-        make_constrained(ScalarKind.BEARING, self.bearing)
+        make_constrained(_BEARING, self.bearing)
 
 
 @dataclass(frozen=True)

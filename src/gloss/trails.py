@@ -9,6 +9,7 @@ than silently approximate.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from pathlib import Path as FilePath
@@ -23,9 +24,9 @@ from .errors import (
     Unresolvable,
 )
 from .geo import (
+    _haversine_m,
     components_within,
     distance_in_metres,
-    great_circle_distance,
     resolved_point,
     spherical_centroid,
 )
@@ -36,6 +37,7 @@ from .model import (
     Id,
     IdKind,
     Information,
+    LatLongCoordinate,
     ModeTransport,
     PhysicalLocation,
     Region,
@@ -67,6 +69,7 @@ __all__ = [
     "Proximity",
     "RecordingPolicy",
     "admits",
+    "policy_rule",
     "record_observation",
     "distill_archetypal",
     "recommended_order",
@@ -214,7 +217,54 @@ class Proximity:
 RecordingPolicy = Union[FixedTime, FixedSpatial, Manual, Proximity]
 
 
-_point = resolved_point
+def policy_rule(policy: RecordingPolicy, gazetteer: Gazetteer | None = None):
+    """The policy split in two: ``(key, decide)``.
+
+    ``key(node)`` is what the policy reads of one node: nothing for
+    Manual, the time for FixedTime, the resolved point (radians and the
+    cosine of its latitude) for FixedSpatial, and for Proximity whether
+    the node lies within the threshold of a designated region, tried in
+    order.  It raises Unresolvable or EmptyWhere where ``admits`` would.
+    ``decide(last_key, key)`` is ``admits`` on two nodes' keys, with None
+    for a node that could not be keyed: such a node is never admitted
+    after another, and under FixedSpatial nothing is admitted after it.
+    A store keys each node once and then replays decisions alone."""
+    if isinstance(policy, Manual):
+        return (lambda node: None), (lambda last, key: True)
+    if isinstance(policy, FixedTime):
+        seconds = policy.interval_seconds
+        return (
+            lambda node: _when_millis(node.when),
+            lambda last, key: (key - last) / 1000.0 >= seconds,
+        )
+    if isinstance(policy, FixedSpatial):
+        metres = distance_in_metres(policy.min_distance)
+
+        def moved_enough(last, key) -> bool:  # great_circle_distance's arithmetic, bit for bit
+            return last is not None and key is not None and _haversine_m(*last, *key) >= metres
+
+        return (lambda node: _radians(resolved_point(node.where, gazetteer))), moved_enough
+    if isinstance(policy, Proximity):
+        reach = distance_in_metres(policy.threshold)
+        anchors = [region.distinguished_point.coordinate for region in policy.designated]
+        anchors = [None if a is None else _radians(a) for a in anchors]
+
+        def near(node) -> bool:
+            p = _radians(resolved_point(node.where, gazetteer))
+            for anchor in anchors:
+                if anchor is None:
+                    raise Unresolvable("designated region has no distinguished coordinate")
+                if _haversine_m(*anchor, *p) <= reach:
+                    return True
+            return False
+
+        return near, (lambda last, key: key is True)
+    raise TypeError(f"not a recording policy: {policy!r}")
+
+
+def _radians(p: LatLongCoordinate) -> tuple[float, float, float]:
+    lat = math.radians(p.latitude)
+    return lat, math.radians(p.longitude), math.cos(lat)
 
 
 def admits(
@@ -225,28 +275,13 @@ def admits(
 ) -> bool:
     """Whether the policy keeps the candidate after ``last``, the trail's
     last kept node; nothing earlier in the trail counts.  With no last node
-    (an empty trail) the candidate is always kept."""
-    if last is None or isinstance(policy, Manual):
+    (an empty trail) the candidate is always kept.  Proximity reads only
+    the candidate."""
+    if last is None:
         return True
-    if isinstance(policy, FixedTime):
-        delta = (_when_millis(candidate.when) - _when_millis(last.when)) / 1000.0
-        return delta >= policy.interval_seconds
-    if isinstance(policy, FixedSpatial):
-        moved = great_circle_distance(
-            _point(last.where, gazetteer), _point(candidate.where, gazetteer)
-        )
-        return moved.value >= distance_in_metres(policy.min_distance)
-    if isinstance(policy, Proximity):
-        p = _point(candidate.where, gazetteer)
-        reach = distance_in_metres(policy.threshold)
-        for region in policy.designated:
-            anchor = region.distinguished_point.coordinate
-            if anchor is None:
-                raise Unresolvable("designated region has no distinguished coordinate")
-            if great_circle_distance(anchor, p).value <= reach:
-                return True
-        return False
-    raise TypeError(f"not a recording policy: {policy!r}")
+    key, decide = policy_rule(policy, gazetteer)
+    last_key = None if isinstance(policy, Proximity) else key(last)
+    return decide(last_key, key(candidate))
 
 
 def record_observation(
@@ -335,7 +370,7 @@ def distill_archetypal(
         spans.append((start, len(flat)))
     if not flat:
         raise EmptyInput("no observations to distill")
-    coords = [_point(n.where, gazetteer) for n in flat]
+    coords = [resolved_point(n.where, gazetteer) for n in flat]
     assignment = _cluster_assignment(coords, eps_m)
     n_clusters = max(assignment) + 1
     members: list[list[int]] = [[] for _ in range(n_clusters)]
@@ -601,7 +636,7 @@ def export_archetypal(trail: ArchetypalTrail) -> str:
     lines = []
     for node in trail.nodes:
         try:
-            p = _point(node.where, None)
+            p = resolved_point(node.where, None)
             lat, lon = repr(p.latitude), repr(p.longitude)
         except Exception:
             lat = lon = "-"

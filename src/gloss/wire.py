@@ -49,15 +49,16 @@ from .model import (
     ProductLocation,
     RectangularBounds,
     Region,
-    ScalarKind,
     Speed,
     SpeedUnit,
     SymbolicLocation,
     Where,
     Information,
     make_constrained,
+    _BEARING,
     _EMAIL_RE,
     _PHONE_RE,
+    _SAT_COUNT,
 )
 from .temporal import Time, TimeOfDay, lex_datetime
 
@@ -116,14 +117,14 @@ class Observation:
 
     def __post_init__(self):
         if self.course is not None:
-            make_constrained(ScalarKind.BEARING, self.course)
+            make_constrained(_BEARING, self.course)
         if self.magnetic_variation is not None:
-            make_constrained(ScalarKind.BEARING, self.magnetic_variation)
+            make_constrained(_BEARING, self.magnetic_variation)
         if self.satellites_visible is not None:
             object.__setattr__(
                 self,
                 "satellites_visible",
-                make_constrained(ScalarKind.SAT_COUNT, self.satellites_visible),
+                make_constrained(_SAT_COUNT, self.satellites_visible),
             )
 
 

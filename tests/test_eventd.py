@@ -483,6 +483,34 @@ class TestTrailUpkeep:
         assert CountingGazetteer.lookups <= 2 * n
 
 
+    def test_late_arrivals_resolve_each_where_once(self):
+        # newest first: every arrival lands before the whole history, whose
+        # decisions are replayed each time; the wheres must not be resolved again
+        class CountingGazetteer(Gazetteer):
+            lookups = 0
+
+            def lookup(self, key):
+                CountingGazetteer.lookups += 1
+                return super().lookup(key)
+
+        names = [f"spot-{k}" for k in range(5)]
+        gazetteer = CountingGazetteer(
+            {name: _symbolic(56.0 + 0.01 * k, -2.0) for k, name in enumerate(names)}
+        )
+        store = EventStore(
+            clock=_tick(), policy=FixedSpatial(Distance(100.0)), gazetteer=gazetteer
+        )
+        n = 200
+        for i in reversed(range(n)):
+            where = Where(SymbolicLocation(), name=names[i % len(names)])
+            event = LocationEvent(
+                SUBJECT, (), (Observation(time_of_observation=Time(i * 1000), where=where),)
+            )
+            assert store.ingest(serialize_location_event(event)) == 1
+        assert len(store.trail_for(SUBJECT).nodes) == n
+        assert CountingGazetteer.lookups <= 2 * n
+
+
 def _symbolic(lat: float, lon: float) -> SymbolicLocation:
     point = PhysicalLocation(LatLongCoordinate(lat, lon))
     return SymbolicLocation(region=Region(point, CircularBounds(point, Distance(25.0))))
@@ -507,6 +535,14 @@ _POLICIES = (
     FixedSpatial(Distance(100.0)),
     Proximity(
         (Region(PhysicalLocation(LatLongCoordinate(56.3400, -2.7950))),), Distance(500.0)
+    ),
+    # the second region has no coordinate: Unresolvable once the first is missed
+    Proximity(
+        (
+            Region(PhysicalLocation(LatLongCoordinate(56.3400, -2.7950))),
+            Region(PhysicalLocation()),
+        ),
+        Distance(500.0),
     ),
 )
 _OTHER = Id(IdKind.EMAIL, "walker@example.org")

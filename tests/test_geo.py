@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from gloss import geo
 from gloss.errors import (
     CoincidentPoints,
+    EmptyWhere,
     MissingCoordinate,
     UnitKindMismatch,
+    Unresolvable,
     UnsupportedBounds,
 )
 from gloss.geo import (
@@ -35,14 +37,18 @@ from gloss.model import (
     CircularBounds,
     Distance,
     DistanceUnit,
+    Gazetteer,
     Horizon,
     LatLongCoordinate,
+    Locale,
     PhysicalLocation,
     RectangularBounds,
     Region,
     Speed,
     SpeedUnit,
+    SymbolicLocation,
     Where,
+    resolve_region,
 )
 
 # -- oracles ----------------------------------------------------------------
@@ -563,6 +569,38 @@ class TestWhereHelpers:
     def test_resolved_point(self):
         w = Where(PhysicalLocation(_point(56.34, -2.87)))
         assert resolved_point(w) == _point(56.34, -2.87)
+
+    def test_resolved_point_matches_resolve_region(self):
+        def via_region(w, gazetteer):
+            coordinate = resolve_region(w, gazetteer).distinguished_point.coordinate
+            if coordinate is None:
+                raise Unresolvable("resolved region has no distinguished coordinate")
+            return coordinate
+
+        def outcome(resolve, w, gazetteer):
+            try:
+                return resolve(w, gazetteer)
+            except (EmptyWhere, Unresolvable) as exc:
+                return type(exc), str(exc)
+
+        spot = PhysicalLocation(_point(56.34, -2.87))
+        gazetteer = Gazetteer({"quad": SymbolicLocation(region=Region(spot))})
+        wheres = [
+            Where(spot),
+            Where(PhysicalLocation()),  # a point without a coordinate
+            Where(None),
+            Where(Region(spot, _circle(56.0, -2.0, 50.0))),
+            Where(Region(PhysicalLocation(), _circle(56.0, -2.0, 50.0))),
+            Where(SymbolicLocation(region=Region(spot))),
+            Where(SymbolicLocation(), name="quad"),
+            Where(SymbolicLocation(), gloss_urn="quad"),
+            Where(SymbolicLocation(), name="nowhere"),
+            Where(SymbolicLocation()),  # unnamed
+            Where(Locale()),
+        ]
+        for w in wheres:
+            for g in (None, gazetteer):
+                assert outcome(resolved_point, w, g) == outcome(via_region, w, g)
 
     def test_distance_between_wheres(self):
         a = Where(PhysicalLocation(_point(0, 0)))

@@ -83,6 +83,52 @@ class TestConstrainedScalars:
             make_constrained(ScalarKind.SAT_COUNT, -1)
 
 
+def _constrained_before(kind, value):
+    """make_constrained as it read when the ranges lived in a dict keyed by
+    member: the oracle for every member's returns and exceptions."""
+    lo, hi = {
+        ScalarKind.LATITUDE: (-90.0, 90.0),
+        ScalarKind.LONGITUDE: (-180.0, 180.0),
+        ScalarKind.BEARING: (0.0, 360.0),
+        ScalarKind.NON_NEGATIVE: (0.0, math.inf),
+        ScalarKind.SAT_COUNT: (0, 12),
+    }[kind]
+    if kind is ScalarKind.SAT_COUNT:
+        if isinstance(value, float) and not value.is_integer():
+            raise NotInteger(f"satellite count must be integral, got {value!r}")
+        value = int(value)
+    if not lo <= value <= hi:
+        raise OutOfRange(kind.value, value, (lo, hi))
+    return value
+
+
+class TestConstrainedAgainstOracle:
+    VALUES = (
+        -1e300, -361.0, -180.0, -90.0, -1, -1e-9, 0, 0.0, -0.0, 6.5, 7, 12, 12.0, 13,
+        90.0, 90.000001, 180.0, 360.0, 1e300, math.inf, -math.inf, math.nan,
+    )
+
+    @staticmethod
+    def _outcome(check, kind, value):
+        try:
+            got = check(kind, value)
+        except (OutOfRange, NotInteger) as exc:
+            return type(exc), str(exc), getattr(exc, "interval", None)
+        return type(got), got
+
+    @pytest.mark.parametrize("kind", list(ScalarKind))
+    def test_every_member_and_value(self, kind):
+        for value in self.VALUES:  # NaN is always refused, so outcomes compare equal
+            got = self._outcome(make_constrained, kind, value)
+            assert got == self._outcome(_constrained_before, kind, value), (kind, value)
+
+    def test_members_keep_their_wire_names(self):
+        assert [k.value for k in ScalarKind] == [
+            "Latitude", "Longitude", "Bearing", "NonNegativeDouble", "SatCount"
+        ]
+        assert ScalarKind("SatCount") is ScalarKind.SAT_COUNT
+
+
 class TestIds:
     def test_key_form(self):
         assert make_id(IdKind.EMAIL, "a@b.cd").key == "email:a@b.cd"

@@ -46,3 +46,16 @@ def test_distill_sweep_prints_each_layout():
     assert done.returncode == 0, done.stderr
     layouts = [line.split()[0] for line in done.stdout.splitlines()[2:]]
     assert layouts == ["spot", "sites", "uniform"]
+
+
+def test_ingest_sweep_prints_each_order():
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "ingest_sweep.py"), "--n", "20", "--k", "1"],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    orders = [line.split()[0] for line in done.stdout.splitlines()[2:]]
+    assert orders == ["in-order", "late"]

@@ -2,6 +2,7 @@
 brute-force oracles (BFS clustering, permutation search)."""
 
 import itertools
+import math
 import random
 import statistics
 
@@ -12,23 +13,27 @@ from hypothesis import strategies as st
 from gloss import geo
 from gloss.errors import (
     EmptyInput,
+    EmptyWhere,
     NoOrderExists,
     OutOfOrderObservation,
     TooLarge,
     UnknownEndpoint,
     Unresolvable,
 )
-from gloss.geo import destination_point, great_circle_distance
+from gloss.geo import destination_point, great_circle_distance, resolved_point
 from gloss.model import (
     Distance,
     DistanceUnit,
+    Gazetteer,
     Id,
     IdKind,
     Information,
     LatLongCoordinate,
+    Locale,
     ModeTransport,
     PhysicalLocation,
     Region,
+    SymbolicLocation,
     Where,
 )
 from gloss.temporal import Period, SymbolicTime, TemporalRegion, Time
@@ -47,11 +52,14 @@ from gloss.trails import (
     Route,
     TrailEdge,
     _cluster_assignment,
+    _when_millis,
+    admits,
     distill_archetypal,
     export_archetypal,
     export_observed,
     import_observed,
     parse_id_key,
+    policy_rule,
     recommended_order,
     routes_through,
 )
@@ -194,6 +202,115 @@ class TestRecordObservation:
         t = _trail(_node(10, SITE_A))
         with pytest.raises(OutOfOrderObservation):
             record_observation(t, _node(5, SITE_B), Manual())
+
+
+def _admits_before(last, candidate, policy, gazetteer=None):
+    """admits as it read before policies were split into a per-node key and
+    a decision, resolving both wheres on every call: the oracle."""
+    if last is None or isinstance(policy, Manual):
+        return True
+    if isinstance(policy, FixedTime):
+        delta = (_when_millis(candidate.when) - _when_millis(last.when)) / 1000.0
+        return delta >= policy.interval_seconds
+    if isinstance(policy, FixedSpatial):
+        moved = great_circle_distance(
+            resolved_point(last.where, gazetteer), resolved_point(candidate.where, gazetteer)
+        )
+        return moved.value >= geo.distance_in_metres(policy.min_distance)
+    if isinstance(policy, Proximity):
+        p = resolved_point(candidate.where, gazetteer)
+        reach = geo.distance_in_metres(policy.threshold)
+        for region in policy.designated:
+            anchor = region.distinguished_point.coordinate
+            if anchor is None:
+                raise Unresolvable("designated region has no distinguished coordinate")
+            if great_circle_distance(anchor, p).value <= reach:
+                return True
+        return False
+    raise TypeError(f"not a recording policy: {policy!r}")
+
+
+_KEY_GAZETTEER = Gazetteer({"b": SymbolicLocation(region=Region(PhysicalLocation(SITE_B)))})
+_coordinates = st.builds(
+    LatLongCoordinate, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)
+)
+_wheres = st.one_of(
+    _coordinates.map(W),
+    st.sampled_from(
+        [
+            W(SITE_A),
+            W(_site(90.0, 99.0)),
+            Where(SymbolicLocation(), name="b"),
+            Where(SymbolicLocation(), name="nowhere"),
+            Where(None),
+            Where(PhysicalLocation()),
+            Where(Locale()),
+        ]
+    ),
+)
+_key_nodes = st.builds(
+    lambda seconds, where: ObservedNode(T(seconds), where),
+    st.integers(0, 10), _wheres
+)
+_key_policies = st.sampled_from(
+    [
+        Manual(),
+        FixedTime(2.0),
+        FixedSpatial(Distance(100.0)),
+        FixedSpatial(Distance(0.1, DistanceUnit.KM)),
+        Proximity((), Distance(100.0)),
+        Proximity((Region(PhysicalLocation(SITE_B)),), Distance(500.0)),
+        Proximity(
+            (Region(PhysicalLocation(SITE_A)), Region(PhysicalLocation())), Distance(150.0)
+        ),
+    ]
+)
+
+
+def _outcome(decide, *args):
+    try:
+        return decide(*args)
+    except (Unresolvable, EmptyWhere) as exc:
+        return type(exc), str(exc)
+
+
+class TestPolicyKeys:
+    @given(_key_policies, st.one_of(st.none(), _key_nodes), _key_nodes)
+    @settings(max_examples=400)
+    def test_admits_matches_resolving_every_call(self, policy, last, candidate):
+        for gazetteer in (None, _KEY_GAZETTEER):
+            assert _outcome(admits, last, candidate, policy, gazetteer) == _outcome(
+                _admits_before, last, candidate, policy, gazetteer
+            )
+
+    @given(_coordinates, _coordinates)
+    @settings(max_examples=300)
+    def test_thresholds_hold_bit_for_bit(self, a, b):
+        # a threshold of exactly the great-circle distance is met, one ulp more is not
+        d = great_circle_distance(a, b).value
+        last, candidate = ObservedNode(T(0), W(a)), ObservedNode(T(1), W(b))
+        assert admits(last, candidate, FixedSpatial(Distance(d)))
+        assert not admits(last, candidate, FixedSpatial(Distance(math.nextafter(d, math.inf))))
+        near = Proximity((Region(PhysicalLocation(a)),), Distance(d))
+        assert admits(last, candidate, near)
+        if d > 0:
+            short = Proximity((Region(PhysicalLocation(a)),), Distance(math.nextafter(d, 0.0)))
+            assert not admits(last, candidate, short)
+
+    def test_store_decisions_on_unplaceable_keys(self):
+        key, decide = policy_rule(FixedSpatial(Distance(100.0)))
+        here = key(_node(0, SITE_A))
+        assert decide(here, key(_node(1, SITE_B)))
+        assert not decide(None, key(_node(1, SITE_B)))  # nothing after an unplaceable node
+        assert not decide(here, None)
+        key, decide = policy_rule(Proximity((Region(PhysicalLocation(SITE_B)),), Distance(10.0)))
+        assert decide(None, key(_node(1, SITE_B)))  # Proximity ignores the last node
+        assert not decide(None, None)
+
+    def test_unknown_policy(self):
+        assert admits(None, _node(0, SITE_A), "sometimes")  # the first node is always kept
+        with pytest.raises(TypeError):
+            admits(_node(0, SITE_A), _node(1, SITE_B), "sometimes")
 
 
 class TestClustering:
