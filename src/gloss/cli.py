@@ -173,10 +173,7 @@ def main(argv=None) -> int:
     except (OSError, EOFError) as exc:  # EOFError: a torn journal frame
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GlossError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (GlossError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -88,18 +88,16 @@ def read_frame(source: BinaryIO) -> Optional[bytes]:
 
 
 class _Subject:
-    """Everything the store holds for one subject."""
+    """One subject's sorted entries, the subsequence the policy kept, and its events."""
 
     def __init__(self, subject: Id):
         self.id = subject
         # (millis, arrival, obs, node, policy key or None if unplaceable), sorted
         self.entries: list[tuple[int, int, Observation, ObservedNode, object]] = []
-        self.kept: list[bool] = []  # per entry: did the policy keep it
+        self.kept: list[tuple[int, int, Observation, ObservedNode, object]] = []
         self.seen: set[Observation] = set()
         self.events: list[LocationEvent] = []
-        self.nodes: list[ObservedNode] = []  # the kept entries' nodes
-        self.keys: list[object] = []  # and their policy keys
-        self.trail: ObservedTrail | None = None  # built from nodes on demand
+        self.trail: ObservedTrail | None = None  # built from kept on demand
 
 
 class EventStore:
@@ -109,8 +107,8 @@ class EventStore:
     ordering; readers take the same lock and so always see a consistent
     snapshot.  No cross-form identity resolution happens: phone and email
     IDs for the same person stay separate subjects.  A trail is its history
-    folded through ``admits``, whose decision depends only on the last kept
-    node before the candidate: an insertion redecides only from its index on.
+    folded through the policy's decision, which depends only on the last kept
+    entry before the candidate: an insertion redecides only from its index on.
     """
 
     def __init__(
@@ -180,7 +178,6 @@ class EventStore:
                 entry = (obs.time_of_observation.epoch_millis, self._arrivals, obs, node, key)
                 at = bisect(record.entries, entry)  # arrivals are unique: nothing later is compared
                 record.entries.insert(at, entry)
-                record.kept.insert(at, False)
                 first = min(first, at)
             record.events.append(stored)
             if len(record.entries) > size:
@@ -193,18 +190,14 @@ class EventStore:
         return len(record.entries) - size
 
     def _refresh_trail(self, record: _Subject, first: int):
-        # a decision depends only on the last kept node before the
-        # candidate: keep every decision before `first`, redo the rest
-        kept, nodes, keys, entries = record.kept, record.nodes, record.keys, record.entries
-        start = len(nodes) - sum(kept[first:])
-        del nodes[start:], keys[start:]
+        # a decision depends only on the last kept entry before the candidate:
+        # keep the kept entries before the new entries[first], redo the rest
+        kept, entries = record.kept, record.entries
+        del kept[bisect(kept, entries[first]):]
         decide = self._decide
-        for i in range(first, len(entries)):
-            _, _, _, node, key = entries[i]
-            kept[i] = keep = not nodes or decide(keys[-1], key)  # the first node is always kept
-            if keep:
-                nodes.append(node)
-                keys.append(key)
+        for entry in entries[first:]:
+            if not kept or decide(kept[-1][4], entry[4]):  # the first entry is always kept
+                kept.append(entry)
         record.trail = None
 
     # -- reads --
@@ -233,7 +226,7 @@ class EventStore:
         with self._lock:
             record = self._record(subject)
             if record.trail is None:
-                record.trail = ObservedTrail(record.id, tuple(record.nodes))
+                record.trail = ObservedTrail(record.id, tuple(entry[3] for entry in record.kept))
             return record.trail
 
     def subjects(self) -> tuple[Id, ...]:

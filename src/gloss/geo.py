@@ -117,11 +117,16 @@ def _haversine_m(lat1, lon1, cos1, lat2, lon2, cos2) -> float:
     return 2 * EARTH_RADIUS_M * math.asin(math.sqrt(h))
 
 
+def _radians(p: LatLongCoordinate) -> tuple[float, float, float]:
+    """A coordinate as `_haversine_m` takes it: latitude and longitude in
+    radians, then the cosine of the latitude."""
+    lat = math.radians(p.latitude)
+    return lat, math.radians(p.longitude), math.cos(lat)
+
+
 def great_circle_distance(a: LatLongCoordinate, b: LatLongCoordinate) -> Distance:
     """Haversine distance between two coordinates, in metres."""
-    lat1, lat2 = math.radians(a.latitude), math.radians(b.latitude)
-    lon1, lon2 = math.radians(a.longitude), math.radians(b.longitude)
-    return Distance(_haversine_m(lat1, lon1, math.cos(lat1), lat2, lon2, math.cos(lat2)))
+    return Distance(_haversine_m(*_radians(a), *_radians(b)))
 
 
 def _unit_cells(points: list[LatLongCoordinate], eps_m: float):

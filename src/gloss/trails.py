@@ -9,7 +9,6 @@ than silently approximate.
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
 from pathlib import Path as FilePath
@@ -25,6 +24,7 @@ from .errors import (
 )
 from .geo import (
     _haversine_m,
+    _radians,
     components_within,
     distance_in_metres,
     resolved_point,
@@ -37,7 +37,6 @@ from .model import (
     Id,
     IdKind,
     Information,
-    LatLongCoordinate,
     ModeTransport,
     PhysicalLocation,
     Region,
@@ -260,11 +259,6 @@ def policy_rule(policy: RecordingPolicy, gazetteer: Gazetteer | None = None):
 
         return near, (lambda last, key: key is True)
     raise TypeError(f"not a recording policy: {policy!r}")
-
-
-def _radians(p: LatLongCoordinate) -> tuple[float, float, float]:
-    lat = math.radians(p.latitude)
-    return lat, math.radians(p.longitude), math.cos(lat)
 
 
 def admits(

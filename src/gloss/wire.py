@@ -84,6 +84,10 @@ _INTEGER_RE = re.compile(r"[+-]?[0-9]+$")
 # wire format cannot express a true cycle, but a runaway chain in a foreign
 # document is worth flagging.
 _LOCALE_DEPTH_BOUND = 32
+# Reject symbolic locations and locales nested deeper than this, long before
+# the interpreter's stack runs out, so the verdict is the same whatever stack
+# the caller has used.
+_NESTING_CAP = 2 * _LOCALE_DEPTH_BOUND
 
 
 # ---------------------------------------------------------------------------
@@ -587,22 +591,26 @@ _BOUNDS_FORMS = {
 }
 
 
-def _read_bounds(ctx: _Ctx, el: ET.Element, path):
-    """The bounds choice may be empty; None is a legal result."""
-    kids = _children(ctx, el, path)
-    if not kids:
-        return None
+def _one_of(ctx: _Ctx, kids: list, path, forms: dict, what: str):
+    """The first of `kids` read by the reader `forms` has for its local
+    name, or _BAD if it has none or another child follows it."""
     local = _local(kids[0].tag)
-    reader = _BOUNDS_FORMS.get(local)
+    reader = forms.get(local)
     if reader is None:
-        ctx.fail((path, local, 0), "choice", "not a bounds form")
+        ctx.fail((path, local, 0), "choice", f"not a {what}")
         result = _BAD
     else:
         result = reader(ctx, kids[0], _named(ctx, kids[0], path, local))
     if len(kids) > 1:
-        ctx.fail((path, _local(kids[1].tag), 0), "choice", "multiple bounds forms")
+        ctx.fail((path, _local(kids[1].tag), 0), "choice", f"multiple {what}s")
         return _BAD
     return result
+
+
+def _read_bounds(ctx: _Ctx, el: ET.Element, path):
+    """The bounds choice may be empty; None is a legal result."""
+    kids = _children(ctx, el, path)
+    return _one_of(ctx, kids, path, _BOUNDS_FORMS, "bounds form") if kids else None
 
 
 _read_region = _compound(
@@ -673,6 +681,9 @@ def _read_classified(ctx: _Ctx, el: ET.Element, path):
 
 def _read_symbolic(ctx: _Ctx, el: ET.Element, path):
     depth = ctx.depth
+    if depth >= _NESTING_CAP:
+        ctx.fail("/", "depth", "document nesting too deep")
+        return _BAD
     ctx.depth = depth + 1
     subtype, information, region, locales, fixed = _walk(ctx, el, path, _SYMBOLIC)
     ctx.depth = depth
@@ -686,6 +697,9 @@ def _read_symbolic(ctx: _Ctx, el: ET.Element, path):
 
 def _read_locale(ctx: _Ctx, el: ET.Element, path):
     depth = ctx.depth
+    if depth >= _NESTING_CAP:
+        ctx.fail("/", "depth", "document nesting too deep")
+        return _BAD
     if depth == _LOCALE_DEPTH_BOUND:
         ctx.warn(path, f"locale nesting deeper than {_LOCALE_DEPTH_BOUND}")
     ctx.depth = depth + 1
@@ -741,25 +755,11 @@ _PAYLOAD_READERS = {
 
 def _read_where(ctx: _Ctx, el: ET.Element, path):
     ok = _check_attrs(ctx, el, path, allowed=("name", "glossURN"))
-    name = el.get("name")
-    urn = el.get("glossURN")
     kids = _children(ctx, el, path, check_attrs=False)
-    payload = None
-    bad = not ok
-    if kids:
-        local = _local(kids[0].tag)
-        reader = _PAYLOAD_READERS.get(local)
-        if reader is None:
-            ctx.fail((path, local, 0), "choice", "not a Where payload")
-            bad = True
-        else:
-            payload = reader(ctx, kids[0], _named(ctx, kids[0], path, local))
-        if payload is _BAD:
-            payload, bad = None, True
-        if len(kids) > 1:
-            ctx.fail((path, _local(kids[1].tag), 0), "choice", "multiple Where payloads")
-            bad = True
-    return _BAD if bad else Where(payload, name, urn)
+    payload = _one_of(ctx, kids, path, _PAYLOAD_READERS, "Where payload") if kids else None
+    if payload is _BAD or not ok:
+        return _BAD
+    return Where(payload, el.get("name"), el.get("glossURN"))
 
 
 # (local name, keyword on Observation, reader), in schema order

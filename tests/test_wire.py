@@ -10,6 +10,7 @@ import pytest
 
 import eventgen
 from gloss.errors import NotWellFormed, SchemaViolation
+from gloss.eventd import EventStore
 from gloss.model import (
     Address,
     Altitude,
@@ -42,6 +43,7 @@ from gloss.wire import (
     serialize_location_event,
     serialize_where,
     validate_document,
+    _NESTING_CAP,
 )
 
 T0 = Time.from_lexical("2003-05-16T18:31:59Z")
@@ -498,6 +500,58 @@ class TestLaxCollection:
         report = validate_document(text.replace(">35.1<", ">nope<"))
         (v,) = [v for v in report.violations if v.rule == "double"]
         assert v.path == "/locationEvent/observation[1]/speed"
+
+
+def _nested(levels: int) -> bytes:
+    """An event whose where is a locale inside `levels - 1` parents."""
+    shallow = serialize_location_event(_event(where=Where(Locale(parent=Locale()))))
+    n = levels - 1
+    return shallow.replace(b"<parent />", b"<parent>" * n + b"</parent>" * n)
+
+
+def _from_depth(frames: int, call):
+    """call(), made with `frames` more Python frames on the stack."""
+    return call() if frames == 0 else _from_depth(frames - 1, call)
+
+
+def _verdict(document: bytes):
+    """What parse_location_event, validate_document and parse_where (on
+    the document's where) make of `document`."""
+    fragment = document[document.index(b"<where>"):document.index(b"</where>") + 8]
+    verdicts = []
+    for parse, text in ((parse_location_event, document), (parse_where, fragment)):
+        try:
+            parse(text)
+            verdicts.append(None)
+        except SchemaViolation as exc:
+            verdicts.append((exc.path, exc.rule))
+    violations = [(v.path, v.rule) for v in validate_document(document).violations]
+    return verdicts, violations
+
+
+class TestNestingCap:
+    @pytest.mark.parametrize("levels", [_NESTING_CAP + 1, 300])
+    def test_verdict_does_not_depend_on_the_callers_stack(self, levels):
+        document = _nested(levels)
+        top = _verdict(document)
+        assert _from_depth(400, lambda: _verdict(document)) == top
+        (parsed, fragment), violations = top
+        assert parsed == fragment == ("/", "depth")
+        assert violations == [("/", "depth")]  # parse iff validate
+
+    def test_document_at_the_cap_is_read_from_a_deep_caller(self):
+        document = _nested(_NESTING_CAP)
+
+        def read_write_ingest():
+            assert _verdict(document) == ([None, None], [])
+            event = parse_location_event(document)
+            assert parse_location_event(serialize_location_event(event)) == event
+            store = EventStore()
+            assert store.ingest(document) == 1
+            return store.trail_for(event.id).nodes[0].where
+
+        where = parse_location_event(document).observations[0].where
+        assert _from_depth(500, read_write_ingest) == where
 
 
 # -- generator-driven properties --------------------------------------------------
