@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import threading
 from contextlib import closing
 from pathlib import Path
 
@@ -87,9 +88,17 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_listen(args) -> int:
     store = _store(args)
-    server = serve(store, args.port, report=print)
+    printing = threading.Lock()
+
+    def report(line: str):
+        # whole lines from the handler threads, flushed: on a pipe, a
+        # supervisor reads each one, the bound port first, as it happens
+        with printing:
+            print(line, flush=True)
+
+    server = serve(store, args.port, report=report)
     host, port = server.server_address[:2]
-    print(f"listening on {host}:{port}")
+    report(f"listening on {host}:{port}")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -97,6 +106,8 @@ def _cmd_listen(args) -> int:
     finally:
         server.server_close()
         store.close()
+        # a handler thread still inside print at exit would abort the interpreter
+        printing.acquire()
     return 0
 
 

@@ -21,14 +21,7 @@ from bisect import bisect
 from pathlib import Path as FilePath
 from typing import BinaryIO, Callable, Iterator, Optional
 
-from .errors import (
-    EmptyWhere,
-    NotWellFormed,
-    SchemaViolation,
-    SinkUnavailable,
-    UnknownSubject,
-    Unresolvable,
-)
+from .errors import EmptyWhere, GlossError, SinkUnavailable, UnknownSubject, Unresolvable
 from .model import Gazetteer, Id
 from .temporal import Time
 from .trails import Manual, ObservedNode, ObservedTrail, RecordingPolicy, policy_rule
@@ -144,7 +137,8 @@ class EventStore:
         """Merge one document; returns how many observations were new.
 
         Parsing happens before any mutation, so a SchemaViolation leaves
-        the store exactly as it was.
+        the store exactly as it was.  So does an OSError from the journal:
+        the document is appended before it is merged.
         """
         return self._ingest(document, journaled=self._journal is not None)
 
@@ -160,6 +154,11 @@ class EventStore:
         step = ProcessingStep(self._clock(), self.step_label)
         stored = LocationEvent(event.id, event.processing_sequence + (step,), event.observations)
         with self._lock:
+            if journaled:
+                if self._sink is None:
+                    # unbuffered: each frame reaches the file in one write, at once
+                    self._sink = open(self._journal, "ab", buffering=0)
+                write_frame(self._sink, bytes(document))
             record = self._subjects.get(event.id.key)
             if record is None:
                 record = self._subjects[event.id.key] = _Subject(event.id)
@@ -182,11 +181,6 @@ class EventStore:
             record.events.append(stored)
             if len(record.entries) > size:
                 self._refresh_trail(record, first)
-            if journaled:
-                if self._sink is None:
-                    # unbuffered: each frame reaches the file in one write, at once
-                    self._sink = open(self._journal, "ab", buffering=0)
-                write_frame(self._sink, bytes(document))
         return len(record.entries) - size
 
     def _refresh_trail(self, record: _Subject, first: int):
@@ -277,16 +271,18 @@ class _IngestHandler(socketserver.StreamRequestHandler):
         while True:
             try:
                 document = read_frame(self.rfile)
+                if document is None:
+                    return
+                accepted = store.ingest(document)
+            except GlossError as exc:  # the store is unchanged: read on
+                report(f"rejected: {exc}")
+                continue
             except EOFError as exc:
                 report(f"stream ended badly: {exc}")
                 return
-            if document is None:
+            except OSError as exc:  # the journal or the peer failed: end this connection
+                report(f"connection closed: {exc}")
                 return
-            try:
-                accepted = store.ingest(document)
-            except (NotWellFormed, SchemaViolation) as exc:
-                report(f"rejected: {exc}")
-                continue
             report(f"accepted={accepted}")
 
 

@@ -124,10 +124,14 @@ _EMAIL_RE = re.compile(r"[^@]+@[^.]+\..+")
 
 @dataclass(frozen=True)
 class Id:
-    """Identity of a tracked person or artefact; an opaque, maybe-unique tag."""
+    """Identity of a tracked person or artefact; an opaque, maybe-unique tag.
+    Hashes as its value alone, which agrees with ``==``."""
 
     kind: IdKind
     value: str
+
+    def __hash__(self):
+        return hash(self.value)
 
     @property
     def key(self) -> str:

@@ -840,11 +840,7 @@ def parse_location_event(document) -> LocationEvent:
     as validate_document reports it, for nesting too deep to read.
     """
     ctx = _Ctx(strict=True)
-    root = _document_root(ctx, document)
-    try:
-        return _read_event(ctx, root)
-    except RecursionError:
-        raise SchemaViolation("/", "depth", "document nesting too deep") from None
+    return _read_event(ctx, _document_root(ctx, document))
 
 
 def validate_document(document) -> ValidationReport:
@@ -852,10 +848,7 @@ def validate_document(document) -> ValidationReport:
     ctx = _Ctx(strict=False)
     root = _document_root(ctx, document)
     if root is not _BAD:
-        try:
-            _read_event(ctx, root)
-        except RecursionError:
-            ctx.fail("/", "depth", "document nesting too deep")
+        _read_event(ctx, root)
     return ValidationReport(ctx.violations, ctx.warnings)
 
 
@@ -890,13 +883,10 @@ def parse_where(fragment) -> Where:
     path = f"/{local}"
     if root.tag != _QUALIFIER + local:
         ctx.fail(path, "namespace", f"fragment not in {NS}")
-    try:
-        if local == "where":
-            return _read_where(ctx, root, path)
-        if local in _PAYLOAD_READERS:
-            return Where(_PAYLOAD_READERS[local](ctx, root, path))
-    except RecursionError:
-        raise SchemaViolation("/", "depth", "document nesting too deep") from None
+    if local == "where":
+        return _read_where(ctx, root, path)
+    if local in _PAYLOAD_READERS:
+        return Where(_PAYLOAD_READERS[local](ctx, root, path))
     raise SchemaViolation(path, "unexpected", "not a Where fragment")
 
 
@@ -968,13 +958,27 @@ def _declare(ns: dict, written: str, cut: int) -> str:
     return written[:cut] + declared + written[cut:]
 
 
-def _foreign(el: ET.Element, ns: dict) -> str:
-    """An extension fragment's element, without its tail."""
-    tag = _qualified(el.tag, ns)
-    attrs = "".join([f' {_qualified(k, ns)}="{_escape(v, _ATTR)}"' for k, v in el.items()])
-    kids = "".join([_foreign(kid, ns) + _escape(kid.tail or "") for kid in el])
-    content = _escape(el.text or "") + kids
-    return f"<{tag}{attrs}>{content}</{tag}>" if content else f"<{tag}{attrs} />"
+def _foreign(root: ET.Element, ns: dict) -> str:
+    """An extension fragment's element, without its tail.  Written from an
+    explicit stack, so any depth reads the same from any caller; names
+    still get their prefixes in document order, tag before attributes."""
+    parts = []
+    stack = [root]  # elements still to write, and strings: closing tags and tails
+    while stack:
+        el = stack.pop()
+        if isinstance(el, str):
+            parts.append(el)
+            continue
+        tag = _qualified(el.tag, ns)
+        attrs = "".join([f' {_qualified(k, ns)}="{_escape(v, _ATTR)}"' for k, v in el.items()])
+        if not el.text and not len(el):
+            parts.append(f"<{tag}{attrs} />")
+            continue
+        parts.append(f"<{tag}{attrs}>{_escape(el.text or '')}")
+        stack.append(f"</{tag}>")
+        for kid in reversed(el):
+            stack += (_escape(kid.tail or ""), kid)
+    return "".join(parts)
 
 
 def _quantity(tag: str, q) -> str:

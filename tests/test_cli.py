@@ -1,6 +1,16 @@
 """End-to-end command-line behaviour: exit codes, output shapes, and
 journal-backed state between invocations."""
 
+import os
+import queue
+import re
+import signal
+import socket
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
 from gloss.cli import main
@@ -165,3 +175,41 @@ class TestTrailDistill:
     def test_missing_manifest(self, tmp_path, capsys):
         missing = str(tmp_path / "nope" / "trail.manifest")
         assert main(["trail", "distill", "--epsilon", "50m", missing]) == 2
+
+
+class TestListen:
+    def test_reports_each_line_as_it_happens(self, corpus_dir):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)  # the node must flush for itself
+        listener = subprocess.Popen(
+            [sys.executable, "-m", "gloss.cli", "listen", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        lines = queue.Queue()  # stdout is a pipe: each line must arrive while the node runs
+        reader = threading.Thread(target=lambda: [lines.put(line) for line in listener.stdout], daemon=True)
+        reader.start()
+        try:
+            bound = re.fullmatch(r"listening on 127\.0\.0\.1:(\d+)\n", lines.get(timeout=10))
+            assert bound
+            port = int(bound.group(1))
+            data = (corpus_dir / "coordinate-email.xml").read_bytes()
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                sock.sendall(len(data).to_bytes(4, "big") + data)
+                assert lines.get(timeout=10) == "accepted=1\n"
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                sock.sendall(len(data).to_bytes(4, "big") + data[:10])  # then hang up
+            assert lines.get(timeout=10) == "stream ended badly: truncated frame body\n"
+            listener.send_signal(signal.SIGINT)
+            assert listener.wait(timeout=10) == 0
+            assert listener.stderr.read() == ""
+        finally:
+            if listener.poll() is None:
+                listener.kill()
+                listener.wait(timeout=10)
+            reader.join(5)
+            listener.stdout.close()
+            listener.stderr.close()

@@ -1,7 +1,9 @@
 """Event store: framing, atomic ingest, relay stamping, journal replay,
 and the socket front end."""
 
+import contextlib
 import io
+import queue
 import random
 import socket
 import threading
@@ -419,6 +421,14 @@ class TestJournal:
             store.ingest(b"junk")
         assert not journal.exists()
 
+    def test_failed_append_changes_nothing(self, tmp_path):
+        store = EventStore(clock=_tick(), journal=tmp_path)  # a directory: open fails
+        with pytest.raises(OSError):
+            store.ingest(_doc(1, 5.0, 6.0))
+        assert store.subjects() == ()
+        with pytest.raises(UnknownSubject):
+            store.query_last(SUBJECT)
+
 
 class TestTrailUpkeep:
     def test_policy_filters_history(self):
@@ -629,6 +639,23 @@ class TestGeneratedIngest:
         assert store.subjects()
 
 
+@contextlib.contextmanager
+def _serving(store):
+    """A running ingest server on a free port: yields the port and a
+    queue of the lines it reports."""
+    reports = queue.Queue()
+    server = serve(store, 0, report=reports.put)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[1], reports
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(5)
+    assert not thread.is_alive()
+
+
 class TestServer:
     def _send(self, port, documents):
         lines = []
@@ -688,3 +715,31 @@ class TestServer:
         assert [n.when for n in store.trail_for(SUBJECT).nodes] == [
             o.time_of_observation for o in got
         ]
+
+    def test_any_gloss_error_is_a_reject_and_the_connection_stays(self):
+        class Refusing(EventStore):
+            def ingest(self, document):
+                if document == b"refuse":
+                    raise Unresolvable("no place for this subject")
+                return super().ingest(document)
+
+        store = Refusing(clock=_tick())
+        with _serving(store) as (port, reports):
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                for data in (b"refuse", _doc(1, 5.0, 6.0)):
+                    sock.sendall(len(data).to_bytes(4, "big") + data)
+                lines = [reports.get(timeout=5) for _ in range(2)]
+        assert lines == ["rejected: no place for this subject", "accepted=1"]
+        assert store.subjects() == (SUBJECT,)
+
+    def test_journal_failure_ends_the_connection_with_one_line(self, tmp_path):
+        store = EventStore(clock=_tick(), journal=tmp_path)  # a directory: the append fails
+        with _serving(store) as (port, reports):
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                data = _doc(1, 5.0, 6.0)
+                sock.sendall(len(data).to_bytes(4, "big") + data)
+                assert sock.recv(1) == b""  # the server ended this connection
+            line = reports.get(timeout=5)
+        assert line.startswith("connection closed: ") and "Is a directory" in line
+        assert reports.empty()
+        assert store.subjects() == ()

@@ -1,15 +1,18 @@
 """Resource/surface/instrument model: coupling state, degree bookkeeping,
 the proximity rule, and surface compatibility classification."""
 
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gloss.errors import SpecificityMismatch
-from gloss.geo import destination_point
+from gloss.geo import destination_point, great_circle_distance
 from gloss.interaction import (
     ActionSurface,
     Actuator,
@@ -26,6 +29,7 @@ from gloss.interaction import (
     Role,
     Sensor,
     Specific,
+    SurfaceAttrs,
     Topology,
     classify_compatibility,
     couple,
@@ -383,6 +387,73 @@ class TestProximityCoupling:
         topo = Topology().place(a, _at(0.0)).place(b, _at(1500.0))
         km = proximity_coupling(CouplingState(), topo, Distance(2.0, DistanceUnit.KM))
         assert km.surface_couplings  # 1.5 km < 2 km
+
+
+_ids = st.builds(Id, st.sampled_from(IdKind), st.sampled_from(("a", "b", "+44 1334")))
+# few ids, so that many resources share one while their roles or attributes differ
+_resources = st.builds(
+    InteractionResource,
+    _ids,
+    st.frozensets(st.sampled_from(Role), min_size=1),
+    surface_attrs=st.none() | st.builds(SurfaceAttrs, color=st.sampled_from(("red", "blue"))),
+    genericity=st.just(Generic()) | st.builds(Specific, st.sampled_from(("face", "map"))),
+)
+
+
+def _all_pairs_within(topology: Topology, metres: float) -> frozenset:
+    """proximity_coupling's pairs, by testing every pair of placed surfaces."""
+    placed = [
+        (entity, placement.where.payload.coordinate)
+        for entity, placement in topology.placements
+        if isinstance(entity, InteractionResource) and Role.SURFACE in entity.roles
+    ]
+    return frozenset(
+        frozenset((a, b))
+        for i, (a, pa) in enumerate(placed)
+        for b, pb in placed[i + 1:]
+        if great_circle_distance(pa, pb).value <= metres
+    )
+
+
+class TestHashContract:
+    @given(st.lists(_ids | _resources, max_size=8))
+    @settings(max_examples=300)
+    def test_equal_values_hash_equal_and_survive_pickling(self, values):
+        for x in values:
+            copy = pickle.loads(pickle.dumps(x))
+            assert copy == x and hash(copy) == hash(x)
+            for y in values:
+                if x == y:
+                    assert hash(x) == hash(y)
+        distinct = []
+        for x in values:
+            if x not in distinct:  # by == alone
+                distinct.append(x)
+        assert len(set(values)) == len(distinct)
+
+    def test_a_pickle_made_under_another_hash_seed_hashes_here(self):
+        # a hash kept on the instance would travel inside the pickle
+        code = (
+            "import pickle, sys; from gloss.interaction import InteractionResource, Role;"
+            "from gloss.model import Id, IdKind; sys.stdout.buffer.write(pickle.dumps("
+            "InteractionResource(Id(IdKind.GUID, 'g'), {Role.SURFACE})))"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=os.pathsep.join(sys.path))
+        made = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True, timeout=60)
+        here = InteractionResource(Id(IdKind.GUID, "g"), {Role.SURFACE})
+        assert {pickle.loads(made.stdout), here} == {here}
+
+    @given(
+        st.lists(st.tuples(_resources, st.floats(0.0, 3.0), st.floats(0.0, 360.0)), max_size=12),
+        st.floats(0.1, 2.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_proximity_coupling_matches_all_pairs(self, layout, metres):
+        topology = Topology()
+        for resource, r, bearing in layout:
+            topology = topology.place(resource, _at(r, bearing))
+        state = proximity_coupling(CouplingState(), topology, Distance(metres))
+        assert state.proximity_surface_couplings == _all_pairs_within(topology, metres)
 
 
 class TestCompatibility:

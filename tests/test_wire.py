@@ -553,6 +553,23 @@ class TestNestingCap:
         where = parse_location_event(document).observations[0].where
         assert _from_depth(500, read_write_ingest) == where
 
+    def test_extension_fragments_read_the_same_from_a_deep_caller(self):
+        # foreign elements are not capped: 300 of them nest inside one locale
+        shallow = serialize_location_event(_event(where=Where(Locale())))
+        nested = f'<e xmlns="{_FOREIGN_NS}">'.encode() + b"<e>" * 299 + b"</e>" * 300
+        document = shallow.replace(b"<locale />", b"<locale>" + nested + b"</locale>")
+        assert _verdict(document) == ([None, None], [])  # parse iff validate
+        assert _from_depth(400, lambda: _verdict(document)) == ([None, None], [])
+
+        def round_trip():
+            event = parse_location_event(document)
+            return event, parse_location_event(serialize_location_event(event))
+
+        event, again = _from_depth(400, round_trip)
+        assert again == event
+        (fragment,) = event.observations[0].where.payload.extensions
+        assert fragment.count("<ns0:e") == 300
+
 
 # -- generator-driven properties --------------------------------------------------
 
