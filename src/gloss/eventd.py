@@ -150,9 +150,7 @@ class EventStore:
                 self._sink = None
 
     def _ingest(self, document: bytes, journaled: bool) -> int:
-        event = parse_location_event(document)
-        step = ProcessingStep(self._clock(), self.step_label)
-        stored = LocationEvent(event.id, event.processing_sequence + (step,), event.observations)
+        event = self._stamp(parse_location_event(document))
         with self._lock:
             if journaled:
                 if self._sink is None:
@@ -178,10 +176,14 @@ class EventStore:
                 at = bisect(record.entries, entry)  # arrivals are unique: nothing later is compared
                 record.entries.insert(at, entry)
                 first = min(first, at)
-            record.events.append(stored)
+            record.events.append(event)
             if len(record.entries) > size:
                 self._refresh_trail(record, first)
         return len(record.entries) - size
+
+    def _stamp(self, event: LocationEvent) -> LocationEvent:
+        step = ProcessingStep(self._clock(), self.step_label)
+        return LocationEvent(event.id, event.processing_sequence + (step,), event.observations)
 
     def _refresh_trail(self, record: _Subject, first: int):
         # a decision depends only on the last kept entry before the candidate:
@@ -242,11 +244,9 @@ def forward(store: EventStore, event: LocationEvent, sink: BinaryIO) -> Location
     Returns the stamped copy.  The stamp is unconditional: relaying
     without ingesting still leaves a trace in the processing sequence.
     """
-    step = ProcessingStep(store.clock(), store.step_label)
-    stamped = LocationEvent(event.id, event.processing_sequence + (step,), event.observations)
-    document = serialize_location_event(stamped)
+    stamped = store._stamp(event)
     try:
-        write_frame(sink, document)
+        write_frame(sink, serialize_location_event(stamped))
         flush = getattr(sink, "flush", None)
         if flush is not None:
             flush()

@@ -22,40 +22,20 @@ def test_demo_exits_cleanly(script):
     assert done.stdout
 
 
-def test_codec_bench_prints_each_step():
+def test_sweep_prints_each_row_at_three_sizes():
     done = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "codec_bench.py"), "--n", "20", "--k", "1"],
+        # -I -S: no site-packages, so the script's standard-library-only claim is checked
+        [sys.executable, "-I", "-S", str(REPO / "scripts" / "sweep.py"), "--n", "20", "--k", "1"],
         cwd=REPO,
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    steps = [line.split()[0] for line in done.stdout.splitlines()[1:]]
-    assert steps == ["parse", "validate", "serialize"]
-
-
-def test_distill_sweep_prints_each_layout():
-    done = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "distill_sweep.py"), "--n", "20", "--k", "1"],
-        cwd=REPO,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    layouts = [line.split()[0] for line in done.stdout.splitlines()[2:]]
-    assert layouts == ["spot", "sites", "uniform"]
-
-
-def test_ingest_sweep_prints_each_order():
-    done = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "ingest_sweep.py"), "--n", "20", "--k", "1"],
-        cwd=REPO,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    orders = [line.split()[0] for line in done.stdout.splitlines()[2:]]
-    assert orders == ["in-order", "late"]
+    table = [line.split() for line in done.stdout.splitlines()[2:]]
+    assert [row[0] for row in table] == [
+        "parse", "validate", "serialize", "spot", "sites", "uniform", "in-order", "late"
+    ]
+    for row in table:
+        assert len(row) == 5  # n, 2n and 4n costs, then the growth
+        assert all(float(cell) > 0 for cell in row[1:]), row

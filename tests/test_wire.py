@@ -374,6 +374,11 @@ class TestStructure:
         second = parse_location_event(serialize_location_event(first))
         assert second == first
 
+    def test_broken_extension_fragment_is_not_well_formed(self):
+        event = _event(where=Where(Locale(extensions=("<e",))))
+        with pytest.raises(NotWellFormed, match="^locale extension fragment: "):
+            serialize_location_event(event)
+
     def test_foreign_parent_is_extension_not_field(self):
         # same local name as the schema's parent element, different namespace:
         # must land in extensions, not be read as the locale's parent
@@ -496,10 +501,31 @@ class TestLaxCollection:
         assert (raised.value.path, raised.value.rule) == ("/", "depth")
 
     def test_violation_paths_are_anchored(self, corpus_documents):
-        text = corpus_documents["gps-fix-phone.xml"].decode("latin-1")
-        report = validate_document(text.replace(">35.1<", ">nope<"))
-        (v,) = [v for v in report.violations if v.rule == "double"]
-        assert v.path == "/locationEvent/observation[1]/speed"
+        # each breach is reported once, with its path, rule and wording,
+        # by validation and strict parsing alike
+        gps = corpus_documents["gps-fix-phone.xml"].decode("latin-1")
+        relay = corpus_documents["region-relay.xml"].decode("latin-1")
+        speed = "/locationEvent/observation[1]/speed"
+        radius = "/locationEvent/observation[1]/where/region/bounds/circularBounds/radius"
+        units = "['m/s', 'km/h', 'miles/h', 'knots']"
+        cases = [
+            (gps.replace(">35.1<", ">nope<"), speed, "double", "not a double: 'nope'"),
+            (gps.replace(">35.1<", ">nan<"), speed, "minInclusive", "speed nan violates minInclusive=0"),
+            (
+                relay.replace('<radius unit="miles">1<', '<radius unit="miles">-1<'),
+                radius, "minInclusive", "distance -1.0 violates minInclusive=0",
+            ),
+            (  # a bad unit is the whole breach: the value is not judged
+                gps.replace("<speed>35.1<", '<speed unit="warp">-35.1<'),
+                speed, "enumeration", f"unit 'warp' not in {units}",
+            ),
+        ]
+        for document, path, rule, detail in cases:
+            report = validate_document(document)
+            assert [(v.path, v.rule, v.detail) for v in report.violations] == [(path, rule, detail)]
+            with pytest.raises(SchemaViolation) as raised:
+                parse_location_event(document)
+            assert (raised.value.path, raised.value.rule, raised.value.detail) == (path, rule, detail)
 
 
 def _nested(levels: int) -> bytes:
@@ -507,6 +533,18 @@ def _nested(levels: int) -> bytes:
     shallow = serialize_location_event(_event(where=Where(Locale(parent=Locale()))))
     n = levels - 1
     return shallow.replace(b"<parent />", b"<parent>" * n + b"</parent>" * n)
+
+
+def _nested_symbolic(levels: int) -> bytes:
+    """An event whose where is a locale with a parent, below which
+    symbolic locations (as contents) and locales alternate, `levels` or
+    `levels + 1` elements in all: a symbolic location is the first element
+    past the cap."""
+    shallow = serialize_location_event(_event(where=Where(Locale(parent=Locale()))))
+    n = (levels - 1) // 2
+    down = b"<contents><information /><region><distinguishedPoint /><bounds /></region><locale>"
+    up = b"</locale><fixed>true</fixed></contents>"
+    return shallow.replace(b"<parent />", b"<parent>" + down * n + up * n + b"</parent>")
 
 
 def _from_depth(frames: int, call):
@@ -532,12 +570,13 @@ def _verdict(document: bytes):
 class TestNestingCap:
     @pytest.mark.parametrize("levels", [_NESTING_CAP + 1, 300])
     def test_verdict_does_not_depend_on_the_callers_stack(self, levels):
-        document = _nested(levels)
-        top = _verdict(document)
-        assert _from_depth(400, lambda: _verdict(document)) == top
-        (parsed, fragment), violations = top
-        assert parsed == fragment == ("/", "depth")
-        assert violations == [("/", "depth")]  # parse iff validate
+        # the element past the cap is a locale in one shape and a symbolic location in the other
+        for document in (_nested(levels), _nested_symbolic(levels)):
+            top = _verdict(document)
+            assert _from_depth(400, lambda: _verdict(document)) == top
+            (parsed, fragment), violations = top
+            assert parsed == fragment == ("/", "depth")
+            assert violations == [("/", "depth")]  # parse iff validate
 
     def test_document_at_the_cap_is_read_from_a_deep_caller(self):
         document = _nested(_NESTING_CAP)
