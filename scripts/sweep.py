@@ -9,7 +9,7 @@ every earlier item.  The rows:
   tests/eventgen.py.  Every document must parse back to its event and
   validate clean; anything else exits 1.
 - spot, sites, uniform: per point clustered by the single-linkage step
-  of distill_archetypal (gloss.trails._cluster_assignment), on layouts
+  of distill_archetypal (gloss.geo.components_within), on layouts
   that keep their density as they grow:
   - spot:    every point within 20 m of one spot, eps 100 m (one cluster);
   - sites:   n/20 sites, 20 fixes within 15 m of each, eps 50 m;
@@ -20,10 +20,10 @@ every earlier item.  The rows:
   gazetteer name.  In late, about one in ten arrives 2-12 places late,
   so the trail's decisions after it are replayed.
 
-Inputs and stores are built untimed.  A time is the CPU time of the
-calling thread, the best of --k passes, multiplied by perfbench's speed
-factor (common.speed_scale) from its gauge read before and after each
-row.  Standard library only.  Run from the repo root:
+Inputs and stores are built untimed.  A cell's time is the CPU time of
+the calling thread, the best of --k passes, multiplied by perfbench's
+speed factor (common.speed_scale) from its gauge read just before and
+after that cell.  Standard library only.  Run from the repo root:
 
     python3 scripts/sweep.py --n 1000
 """
@@ -46,25 +46,27 @@ import eventgen  # noqa: E402
 from common import REFERENCE_S, gauge_s, speed_scale  # noqa: E402
 from gloss import model, wire  # noqa: E402
 from gloss.eventd import EventStore  # noqa: E402
-from gloss.geo import destination_point  # noqa: E402
+from gloss.geo import components_within, destination_point  # noqa: E402
 from gloss.temporal import Time  # noqa: E402
-from gloss.trails import FixedSpatial, _cluster_assignment  # noqa: E402
+from gloss.trails import FixedSpatial  # noqa: E402
 
 HOME = model.LatLongCoordinate(56.34, -2.79)
 SUBJECT = model.Id(model.IdKind.BIT_STRING, "walker")
 SPOTS = 20
 
 
-def best_of(k: int, prepare) -> int:
-    """Thread-CPU nanoseconds of the fastest of k passes.  Each pass calls
-    what prepare() returns; prepare() itself is untimed."""
+def best_of(k: int, prepare) -> float:
+    """Thread-CPU nanoseconds of the fastest of k passes, scaled by the
+    gauge read just before and after them.  Each pass calls what prepare()
+    returns; prepare() itself is untimed."""
+    before = gauge_s()
     best = math.inf
     for _ in range(k):
         run = prepare()
         start = time.thread_time_ns()
         run()
         best = min(best, time.thread_time_ns() - start)
-    return best
+    return best * speed_scale(before, gauge_s())
 
 
 def each(step, items):
@@ -151,9 +153,9 @@ def main(argv=None) -> int:
         "parse": lambda m: partial(each, wire.parse_location_event, documents[:m]),
         "validate": lambda m: partial(each, wire.validate_document, documents[:m]),
         "serialize": lambda m: partial(each, wire.serialize_location_event, events[:m]),
-        "spot": lambda m: partial(_cluster_assignment, *spot(m)),
-        "sites": lambda m: partial(_cluster_assignment, *sites(m)),
-        "uniform": lambda m: partial(_cluster_assignment, *uniform(m)),
+        "spot": lambda m: partial(components_within, *spot(m)),
+        "sites": lambda m: partial(components_within, *sites(m)),
+        "uniform": lambda m: partial(components_within, *uniform(m)),
         "in-order": lambda m: partial(each, store().ingest, walk(m, False)),
         "late": lambda m: partial(each, store().ingest, walk(m, True)),
     }
@@ -161,11 +163,9 @@ def main(argv=None) -> int:
           f"thread CPU us per item, gauged to {1e3 * REFERENCE_S:g} ms")
     print(f"{'row':<10} {'n_us':>8} {'2n_us':>8} {'4n_us':>8} {'growth':>7}")
     for name, row in rows.items():
-        before = gauge_s()
         costs = [best_of(args.k, partial(row, m)) / m / 1e3 for m in sizes]
-        scale = speed_scale(before, gauge_s())
         growth = costs[2] / costs[0] if costs[0] else math.inf
-        print(f"{name:<10} " + " ".join(f"{scale * c:8.2f}" for c in costs) + f" {growth:7.2f}")
+        print(f"{name:<10} " + " ".join(f"{c:8.2f}" for c in costs) + f" {growth:7.2f}")
     return 0
 
 

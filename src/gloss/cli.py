@@ -150,7 +150,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="re-serialize a document in canonical form")
     p.add_argument("file")
-    p.add_argument("--canonical", action="store_true", help="canonical output (the default and only form)")
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("ingest", help="parse files into the store")

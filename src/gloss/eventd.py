@@ -114,8 +114,7 @@ class EventStore:
     ):
         self.step_label = step_label
         self._clock = clock if clock is not None else _wall_clock
-        self._policy = policy if policy is not None else Manual()
-        self._key, self._decide = policy_rule(self._policy, gazetteer)
+        self._key, self._decide = policy_rule(policy if policy is not None else Manual(), gazetteer)
         self._journal = FilePath(journal) if journal is not None else None
         self._sink: BinaryIO | None = None  # the journal's append handle, opened on first use
         self._gazetteer = gazetteer

@@ -102,9 +102,6 @@ class Time:
         """
         return cls(lex_datetime(text)[0])
 
-    def to_datetime(self) -> datetime:
-        return datetime.fromtimestamp(self.epoch_millis / 1000, tz=timezone.utc)
-
     def lexical(self) -> str:
         """Canonical zone-less UTC form with a four-digit year, fractional
         seconds trimmed.  Raises ValueError outside the years 1-9999."""

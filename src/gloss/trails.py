@@ -16,6 +16,7 @@ from typing import Optional, Union
 
 from .errors import (
     EmptyInput,
+    GlossError,
     NoOrderExists,
     OutOfOrderObservation,
     TooLarge,
@@ -297,9 +298,6 @@ def record_observation(
 # --- distillation ---
 
 
-_cluster_assignment = components_within  # clusters at eps_m, numbered by first appearance
-
-
 def _merge_info(nodes: list[ObservedNode]) -> Information:
     info: list[str] = []
     links: list[str] = []
@@ -365,7 +363,7 @@ def distill_archetypal(
     if not flat:
         raise EmptyInput("no observations to distill")
     coords = [resolved_point(n.where, gazetteer) for n in flat]
-    assignment = _cluster_assignment(coords, eps_m)
+    assignment = components_within(coords, eps_m)
     n_clusters = max(assignment) + 1
     members: list[list[int]] = [[] for _ in range(n_clusters)]
     for i, c in enumerate(assignment):
@@ -632,7 +630,7 @@ def export_archetypal(trail: ArchetypalTrail) -> str:
         try:
             p = resolved_point(node.where, None)
             lat, lon = repr(p.latitude), repr(p.longitude)
-        except Exception:
+        except GlossError:
             lat = lon = "-"
         lines.append(f"node {node.key} {lat} {lon}")
         for text in node.info.info:

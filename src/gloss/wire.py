@@ -57,6 +57,8 @@ from .model import (
     make_constrained,
     _BEARING,
     _EMAIL_RE,
+    _LATITUDE,
+    _LONGITUDE,
     _PHONE_RE,
     _SAT_COUNT,
 )
@@ -229,9 +231,10 @@ def _local(tag: str) -> str:
     return local
 
 
-def _check_attrs(ctx: _Ctx, el: ET.Element, path, allowed: tuple[str, ...] = ()):
-    """Foreign-namespaced attributes (xsi:schemaLocation and friends) pass;
-    unknown plain attributes are violations."""
+def _attrs_ok(ctx: _Ctx, el: ET.Element, path, allowed: tuple[str, ...] = ()):
+    """Whether el has no plain attribute but the `allowed` ones, each other
+    one reported.  Foreign-namespaced attributes (xsi:schemaLocation and
+    friends) pass."""
     bad = False
     for k in el.keys():
         if k.startswith("{") or k in allowed:
@@ -241,11 +244,11 @@ def _check_attrs(ctx: _Ctx, el: ET.Element, path, allowed: tuple[str, ...] = ())
     return not bad
 
 
-def _children(ctx: _Ctx, el: ET.Element, path, check_attrs: bool = True) -> list:
-    """The child elements of a complex element, once its attributes (unless
-    the caller checks them) and its lack of character content are checked."""
-    if check_attrs and el.keys():
-        _check_attrs(ctx, el, path)
+def _children(ctx: _Ctx, el: ET.Element, path, allowed: tuple[str, ...] = ()) -> list:
+    """The child elements of a complex element, once its attributes (none
+    but the `allowed` ones) and its lack of character content are checked."""
+    if el.keys():
+        _attrs_ok(ctx, el, path, allowed)
     kids = el[:]  # ET.fromstring keeps no comments or processing instructions
     # `s and not s.isspace()` is `s.strip()`: both use str's whitespace set
     text = el.text
@@ -273,13 +276,13 @@ _ONE, _OPT, _SOME, _ANY, _CHOICE, _REST = range(6)
 _OCCURS = {"1": _ONE, "?": _OPT, "+": _SOME, "*": _ANY, "|": _CHOICE, "...": _REST}
 
 
-def _walk(ctx: _Ctx, el: ET.Element, path, grammar, check_attrs=True, exact=False):
+def _walk(ctx: _Ctx, el: ET.Element, path, grammar, exact=False):
     """One value per particle of `grammar`, reading el's children in order:
     a reader's result (or _BAD), None for an absent optional, a list for a
     run (or _BAD if any member failed).  A child with a particle's local name
     in another namespace is read and reported, or with exact=True left for
     later particles.  The first child no particle claims is unexpected."""
-    kids = _children(ctx, el, path, check_attrs)
+    kids = _children(ctx, el, path)
     count = len(kids)
     i = 0
     values = []
@@ -354,9 +357,10 @@ def _read_text(ctx: _Ctx, el: ET.Element, path) -> str:
     return el.text or ""
 
 
-def _double(lo=None, hi=None, what=""):
-    """A reader of doubles; given `lo` and `hi`, of doubles in that closed
+def _double(kind=None, what=""):
+    """A reader of doubles; given a ScalarKind, of doubles in its closed
     interval, `what` naming them in breaches."""
+    lo, hi = (None, None) if kind is None else kind.bounds
 
     def read(ctx: _Ctx, el: ET.Element, path):
         text = (el.text or "").strip()
@@ -390,11 +394,12 @@ def _read_sat_count(ctx: _Ctx, el: ET.Element, path):
         ctx.fail(path, "integer", f"not an integer: {text!r}")
         return _BAD
     v = int(text)
-    if v < 0:
-        ctx.fail(path, "minInclusive", f"satellitesVisible {v} violates minInclusive=0")
+    lo, hi = _SAT_COUNT.bounds
+    if v < lo:
+        ctx.fail(path, "minInclusive", f"satellitesVisible {v} violates minInclusive={lo}")
         return _BAD
-    if v > 12:
-        ctx.fail(path, "maxInclusive", f"satellitesVisible {v} violates maxInclusive=12")
+    if v > hi:
+        ctx.fail(path, "maxInclusive", f"satellitesVisible {v} violates maxInclusive={hi}")
         return _BAD
     return v
 
@@ -449,7 +454,7 @@ _QUANTITIES = {
 
 def _read_quantity(ctx: _Ctx, el: ET.Element, path, local: str):
     cls, default_unit, non_negative, what = _QUANTITIES[local]
-    ok = _check_attrs(ctx, el, path, allowed=("unit",))
+    ok = _attrs_ok(ctx, el, path, allowed=("unit",))
     v = _read_double(ctx, el, path)
     raw_unit = el.get("unit")
     unit = default_unit
@@ -550,29 +555,27 @@ def _read_id(ctx: _Ctx, el: ET.Element, path):
     return Id(_ID_KINDS[local], value)
 
 
-def _compound(make, *particles, check_attrs=True):
+def _compound(make, *particles):
     """A reader of an element read by one or two `particles`, whose values
     `make` combines unless one failed."""
     grammar = _grammar(*particles)
     if len(grammar) == 1:
         def read(ctx: _Ctx, el: ET.Element, path):
-            (a,) = _walk(ctx, el, path, grammar, check_attrs)
+            (a,) = _walk(ctx, el, path, grammar)
             return _BAD if a is _BAD else make(a)
     else:
         def read(ctx: _Ctx, el: ET.Element, path):
-            a, b = _walk(ctx, el, path, grammar, check_attrs)
+            a, b = _walk(ctx, el, path, grammar)
             return _BAD if a is _BAD or b is _BAD else make(a, b)
     return read
 
 
 _read_latlong = _compound(
     LatLongCoordinate,
-    ("latitude", "1", _double(-90.0, 90.0, "latitude")),
-    ("longitude", "1", _double(-180.0, 180.0, "longitude")),
+    ("latitude", "1", _double(_LATITUDE, "latitude")),
+    ("longitude", "1", _double(_LONGITUDE, "longitude")),
 )
-_read_coordinate = _compound(
-    lambda coordinate: coordinate, ("latLongCoordinate", "?", _read_latlong), check_attrs=False
-)
+_read_coordinate = _compound(lambda coordinate: coordinate, ("latLongCoordinate", "?", _read_latlong))
 _read_physical = _compound(PhysicalLocation, ("coordinate", "?", _read_coordinate))
 _BOUNDS_FORMS = {
     "horizon": lambda ctx, el, path: Horizon(el.text or ""),
@@ -580,13 +583,11 @@ _BOUNDS_FORMS = {
         CircularBounds,
         ("centre", "1", _read_physical),
         ("radius", "1", lambda ctx, el, p: _read_quantity(ctx, el, p, "radius")),
-        check_attrs=False,
     ),
     "rectangularBounds": _compound(
         RectangularBounds,
         ("topLeft", "1", _read_physical),
         ("bottomRight", "1", _read_physical),
-        check_attrs=False,
     ),
 }
 
@@ -653,13 +654,11 @@ _CLASSIFIED = _grammar(
             lambda open_time, close_time: (open_time, close_time),
             ("openTime", "1", _read_time_of_day),
             ("closeTime", "1", _read_time_of_day),
-            check_attrs=False,
         )),
         ("address", "1", _compound(
             lambda fields: Address(**fields),
             (None, "...", _optional_fields(_ADDRESS_FIELDS, "address")),
         )),
-        check_attrs=False,
     )),
     ("classification", "*", _read_classification),
     ("description", "1", _read_text),
@@ -754,10 +753,9 @@ _PAYLOAD_READERS = {
 
 
 def _read_where(ctx: _Ctx, el: ET.Element, path):
-    ok = _check_attrs(ctx, el, path, allowed=("name", "glossURN"))
-    kids = _children(ctx, el, path, check_attrs=False)
+    kids = _children(ctx, el, path, ("name", "glossURN"))
     payload = _one_of(ctx, kids, path, _PAYLOAD_READERS, "Where payload") if kids else None
-    if payload is _BAD or not ok:
+    if payload is _BAD:
         return _BAD
     return Where(payload, el.get("name"), el.get("glossURN"))
 
@@ -766,8 +764,8 @@ def _read_where(ctx: _Ctx, el: ET.Element, path):
 _OBS_OPTIONAL = (
     ("altitude", "altitude", lambda ctx, el, p: _read_quantity(ctx, el, p, "altitude")),
     ("speed", "speed", lambda ctx, el, p: _read_quantity(ctx, el, p, "speed")),
-    ("course", "course", _double(0.0, 360.0, "course")),
-    ("magneticVariation", "magnetic_variation", _double(0.0, 360.0, "magneticVariation")),
+    ("course", "course", _double(_BEARING, "course")),
+    ("magneticVariation", "magnetic_variation", _double(_BEARING, "magneticVariation")),
     ("satellitesVisible", "satellites_visible", _read_sat_count),
     ("PDOP", "pdop", _read_double),
     ("HDOP", "hdop", _read_double),
@@ -793,8 +791,7 @@ _read_sequence = _compound(tuple, ("processingStep", "*", _compound(
     ProcessingStep,
     ("dateTime", "1", _read_datetime),
     ("description", "1", _read_text),
-    check_attrs=False,
-)), check_attrs=False)
+)))
 
 
 _EVENT = _grammar(

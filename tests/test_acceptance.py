@@ -20,6 +20,7 @@ from gloss.errors import (
 from gloss.eventd import EventStore, forward, read_frame
 from gloss.geo import (
     EARTH_RADIUS_M,
+    components_within,
     contains,
     convert_quantity,
     destination_point,
@@ -60,7 +61,6 @@ from gloss.trails import (
     IntentionalNode,
     IntentionalTrail,
     Path,
-    _cluster_assignment,
     distill_archetypal,
     routes_through,
 )
@@ -362,7 +362,7 @@ def test_trail_distillation():
         got = distill_archetypal(trails, Distance(eps))
         # clustering equals the brute-force closure oracle
         oracle = _bfs_clusters(coords, eps)
-        assert _cluster_assignment(coords, eps) == oracle, fixture_no
+        assert components_within(coords, eps) == oracle, fixture_no
         assert len(got.nodes) == max(oracle) + 1
         # deterministic
         assert distill_archetypal(trails, Distance(eps)) == got

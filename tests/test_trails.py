@@ -20,7 +20,12 @@ from gloss.errors import (
     UnknownEndpoint,
     Unresolvable,
 )
-from gloss.geo import destination_point, great_circle_distance, resolved_point
+from gloss.geo import (
+    components_within,
+    destination_point,
+    great_circle_distance,
+    resolved_point,
+)
 from gloss.model import (
     Distance,
     DistanceUnit,
@@ -51,7 +56,6 @@ from gloss.trails import (
     Proximity,
     Route,
     TrailEdge,
-    _cluster_assignment,
     _when_millis,
     admits,
     distill_archetypal,
@@ -328,17 +332,17 @@ class TestClustering:
     @settings(max_examples=150)
     def test_matches_bfs_components(self, offsets, eps_m):
         coords = [destination_point(BASE, brg, d) for brg, d in offsets]
-        assert _cluster_assignment(coords, eps_m) == _bfs_clusters(coords, eps_m)
+        assert components_within(coords, eps_m) == _bfs_clusters(coords, eps_m)
 
     def test_chaining_merges_beyond_epsilon(self):
         # 0 -- 90 -- 180 m: single linkage chains all three at eps=100
         coords = [_site(90.0, d) for d in (0.0, 90.0, 180.0)]
-        assert _cluster_assignment(coords, 100.0) == [0, 0, 0]
-        assert _cluster_assignment(coords, 80.0) == [0, 1, 2]
+        assert components_within(coords, 100.0) == [0, 0, 0]
+        assert components_within(coords, 80.0) == [0, 1, 2]
 
     def test_numbering_follows_first_appearance(self):
         coords = [SITE_C, SITE_A, SITE_C, SITE_B]
-        assert _cluster_assignment(coords, 100.0) == [0, 1, 0, 2]
+        assert components_within(coords, 100.0) == [0, 1, 0, 2]
 
     def test_dense_spot_costs_a_few_tests_per_point(self, monkeypatch):
         calls = 0
@@ -351,7 +355,7 @@ class TestClustering:
 
         monkeypatch.setattr(geo, "_haversine_m", counting)
         points = [destination_point(SITE_A, 137.5 * k, 20.0 * (k % 97) / 97) for k in range(1000)]
-        assert _cluster_assignment(points, 100.0) == [0] * 1000
+        assert components_within(points, 100.0) == [0] * 1000
         assert calls <= 2 * len(points)  # testing every pair would take 499 500
 
 
@@ -696,6 +700,12 @@ class TestExportArchetypal:
             "edge n0 n1 - 42.0",
             "order n0 n1",
         ]
+
+    def test_listing_raises_on_a_where_that_is_not_a_where(self):
+        # only a where that names no point prints "-"; a wrong type is a bug
+        trail = ArchetypalTrail((ArchetypalNode("n0", LatLongCoordinate(1.5, 2.5)),), (), ("n0",))
+        with pytest.raises(AttributeError):
+            export_archetypal(trail)
 
     def test_mode_edge(self):
         nodes = (ArchetypalNode("a", W(SITE_A)), ArchetypalNode("b", W(SITE_B)))

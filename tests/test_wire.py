@@ -257,8 +257,35 @@ class TestMutations:
         _assert_invalid(mutated, "unexpected")
 
     def test_unknown_attribute(self, base):
-        mutated = base.replace("<observation>", '<observation priority="7">')
-        _assert_invalid(mutated, "attribute")
+        # every complex element rejects a plain attribute the schema lacks
+        symbolic = serialize_location_event(_event(where=Where(SymbolicLocation(
+            subtype=ProductLocation(),
+            region=Region(PhysicalLocation(), CircularBounds(PhysicalLocation(), Distance(1.0))),
+        )))).decode()
+        rectangular = serialize_location_event(_event(where=Where(Region(
+            PhysicalLocation(), RectangularBounds(PhysicalLocation(), PhysicalLocation())
+        )))).decode()
+        event, obs = "/locationEvent", "/locationEvent/observation[1]/where"
+        classified = f"{obs}/symbolicLocation/classifiedLocation/addressLocation"
+        cases = (
+            ("observation", base, f"{event}/observation[1]"),
+            ("processingSequence", base, f"{event}/processingSequence"),
+            ("processingStep", base, f"{event}/processingSequence/processingStep[1]"),
+            ("coordinate", base, f"{obs}/physicalLocation/coordinate"),
+            ("circularBounds", symbolic, f"{obs}/symbolicLocation/region/bounds/circularBounds"),
+            ("rectangularBounds", rectangular, f"{obs}/region/bounds/rectangularBounds"),
+            ("addressLocation", symbolic, classified),
+            ("productLocation", symbolic, f"{classified}/productLocation"),
+        )
+        for local, document, path in cases:
+            mutated = document.replace(f"<{local}>", f'<{local} bogus="x">', 1)
+            assert mutated != document, local
+            breach = (path, "attribute", "unexpected attribute 'bogus'")
+            report = validate_document(mutated)
+            assert [(v.path, v.rule, v.detail) for v in report.violations] == [breach]
+            with pytest.raises(SchemaViolation) as raised:
+                parse_location_event(mutated)
+            assert (raised.value.path, raised.value.rule, raised.value.detail) == breach
 
     def test_phone_without_plus(self, base):
         _assert_invalid(base.replace("+447941615809", "447941615809"), "pattern")
@@ -648,7 +675,7 @@ class TestGenerated:
 # 3.11, the version CI runs.
 
 SERIALIZE_DIGEST = "b2568b8d1dedf4b9cce1765ccb96d23fd950888ebae9c66976cd178d20e7bce4"
-VALIDATE_DIGEST = "76d6831d26ddc3a9811a40e5593677ace40bd4a9c4beb4ed5a73469a2896b8c6"
+VALIDATE_DIGEST = "6d34012149879f2dd9452313651f47f89c756afcf3524150795a89d2fe8a10a1"
 
 _FOREIGN_NS = "http://example.org/foreign/"
 _RENAMES = (
