@@ -19,6 +19,9 @@ every earlier item.  The rows:
   The walk moves up to 120 m a step, and one observation in five is a
   gazetteer name.  In late, about one in ten arrives 2-12 places late,
   so the trail's decisions after it are replayed.
+- import: per point read back by trails.import_observed from one trail
+  of m nodes, info on every 4th, exported untimed into a temporary
+  directory.
 
 Inputs and stores are built untimed.  A cell's time is the CPU time of
 the calling thread, the best of --k passes, multiplied by perfbench's
@@ -33,6 +36,7 @@ import math
 import platform
 import random
 import sys
+import tempfile
 import time
 from functools import cache, partial
 from pathlib import Path
@@ -48,7 +52,14 @@ from gloss import model, wire  # noqa: E402
 from gloss.eventd import EventStore  # noqa: E402
 from gloss.geo import components_within, destination_point  # noqa: E402
 from gloss.temporal import Time  # noqa: E402
-from gloss.trails import FixedSpatial  # noqa: E402
+from gloss.trails import (  # noqa: E402
+    FixedSpatial,
+    Manual,
+    ObservedNode,
+    ObservedTrail,
+    export_observed,
+    import_observed,
+)
 
 HOME = model.LatLongCoordinate(56.34, -2.79)
 SUBJECT = model.Id(model.IdKind.BIT_STRING, "walker")
@@ -131,6 +142,21 @@ def walk(m: int, late: bool) -> list[bytes]:
     ]
 
 
+def exported(m: int, folder: Path) -> Path:
+    """Export one trail of m nodes, info on every 4th, into folder; returns
+    its manifest."""
+    rng = random.Random(SEED)
+    nodes = [
+        ObservedNode(
+            Time(i * 60_000),
+            model.Where(model.PhysicalLocation(_in_disc(rng, HOME, 2000.0))),
+            model.Information((f"note {i}",)) if i % 4 == 3 else None,
+        )
+        for i in range(m)
+    ]
+    return export_observed(ObservedTrail(SUBJECT, tuple(nodes)), Manual(), folder / str(m))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--n", type=int, default=1000, help="smallest size (default 1000)")
@@ -148,24 +174,26 @@ def main(argv=None) -> int:
             print("error: a generated document does not round-trip", file=sys.stderr)
             return 1
 
-    # each row maps a size m to a pass over m items
-    rows = {
-        "parse": lambda m: partial(each, wire.parse_location_event, documents[:m]),
-        "validate": lambda m: partial(each, wire.validate_document, documents[:m]),
-        "serialize": lambda m: partial(each, wire.serialize_location_event, events[:m]),
-        "spot": lambda m: partial(components_within, *spot(m)),
-        "sites": lambda m: partial(components_within, *sites(m)),
-        "uniform": lambda m: partial(components_within, *uniform(m)),
-        "in-order": lambda m: partial(each, store().ingest, walk(m, False)),
-        "late": lambda m: partial(each, store().ingest, walk(m, True)),
-    }
-    print(f"python {platform.python_version()}, n={args.n}, seed={SEED}, best of {args.k}, "
-          f"thread CPU us per item, gauged to {1e3 * REFERENCE_S:g} ms")
-    print(f"{'row':<10} {'n_us':>8} {'2n_us':>8} {'4n_us':>8} {'growth':>7}")
-    for name, row in rows.items():
-        costs = [best_of(args.k, partial(row, m)) / m / 1e3 for m in sizes]
-        growth = costs[2] / costs[0] if costs[0] else math.inf
-        print(f"{name:<10} " + " ".join(f"{c:8.2f}" for c in costs) + f" {growth:7.2f}")
+    with tempfile.TemporaryDirectory() as scratch:
+        # each row maps a size m to a pass over m items
+        rows = {
+            "parse": lambda m: partial(each, wire.parse_location_event, documents[:m]),
+            "validate": lambda m: partial(each, wire.validate_document, documents[:m]),
+            "serialize": lambda m: partial(each, wire.serialize_location_event, events[:m]),
+            "spot": lambda m: partial(components_within, *spot(m)),
+            "sites": lambda m: partial(components_within, *sites(m)),
+            "uniform": lambda m: partial(components_within, *uniform(m)),
+            "in-order": lambda m: partial(each, store().ingest, walk(m, False)),
+            "late": lambda m: partial(each, store().ingest, walk(m, True)),
+            "import": lambda m: partial(import_observed, exported(m, Path(scratch))),
+        }
+        print(f"python {platform.python_version()}, n={args.n}, seed={SEED}, best of {args.k}, "
+              f"thread CPU us per item, gauged to {1e3 * REFERENCE_S:g} ms")
+        print(f"{'row':<10} {'n_us':>8} {'2n_us':>8} {'4n_us':>8} {'growth':>7}")
+        for name, row in rows.items():
+            costs = [best_of(args.k, partial(row, m)) / m / 1e3 for m in sizes]
+            growth = costs[2] / costs[0] if costs[0] else math.inf
+            print(f"{name:<10} " + " ".join(f"{c:8.2f}" for c in costs) + f" {growth:7.2f}")
     return 0
 
 

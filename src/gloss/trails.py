@@ -538,27 +538,52 @@ def _parse_policy(text: str) -> RecordingPolicy:
 def export_observed(
     trail: ObservedTrail, policy: RecordingPolicy, directory
 ) -> FilePath:
-    """Write one locationEvent file per node plus a manifest; returns the
-    manifest path.  Only instant-stamped (Time) nodes can travel this way."""
-    directory = FilePath(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = [f"subject {trail.subject.key}", f"policy {_format_policy(policy)}"]
-    for i, node in enumerate(trail.nodes):
+    """Write the trail as locationEvent files plus a manifest; returns the
+    manifest path.
+
+    Each run of nodes goes into one event, one observation per node.  A
+    run ends at a node with info and at the trail's last node; its file
+    is named after that node (``0007.xml`` for node 7), and the node's
+    ``info``/``link`` lines follow the run's ``event`` line.
+
+    Raises ValueError, before anything is written, for what the manifest
+    cannot carry back unchanged: a Proximity policy with designated
+    regions; a node not stamped with a Time; a line break in the subject
+    key, an info text or a link; trailing whitespace in the key or an info
+    text, or leading or trailing whitespace in a link; an Information with
+    neither text nor link."""
+    if isinstance(policy, Proximity) and policy.designated:
+        raise ValueError("the manifest carries no designated regions")
+    key = trail.subject.key
+    texts = [(key, str.rstrip)]  # each with what the manifest reader strips off it
+    for node in trail.nodes:
         if not isinstance(node.when, Time):
             raise ValueError("only Time-stamped nodes can be exported")
-        event = LocationEvent(
-            trail.subject,
-            (),
-            (Observation(time_of_observation=node.when, where=node.where),),
-        )
+        if node.info is not None:
+            if node.info == Information():
+                raise ValueError("an Information with neither text nor link would read back as None")
+            texts += [(text, str.rstrip) for text in node.info.info]
+            texts += [(link, str.strip) for link in node.info.links]
+    for text, strip in texts:
+        if len(text.splitlines()) > 1 or strip(text) != text:
+            raise ValueError(f"{text!r} would not read back unchanged from the manifest")
+    directory = FilePath(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    lines = [f"subject {key}", f"policy {_format_policy(policy)}"]
+    run: list[Observation] = []
+    last = len(trail.nodes) - 1
+    for i, node in enumerate(trail.nodes):
+        run.append(Observation(time_of_observation=node.when, where=node.where))
+        if node.info is None and i < last:
+            continue
         name = f"{i:04d}.xml"
+        event = LocationEvent(trail.subject, (), tuple(run))
         (directory / name).write_bytes(serialize_location_event(event))
+        run.clear()
         lines.append(f"event {name}")
         if node.info is not None:
-            for text in node.info.info:
-                lines.append(f"info {text}")
-            for link in node.info.links:
-                lines.append(f"link {link}")
+            lines.extend(f"info {text}" for text in node.info.info)
+            lines.extend(f"link {link}" for link in node.info.links)
     manifest = directory / "trail.manifest"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
@@ -577,12 +602,16 @@ def parse_id_key(key: str) -> Id:
 
 
 def import_observed(manifest_path) -> tuple[ObservedTrail, RecordingPolicy]:
-    """Rebuild a trail from a manifest written by export_observed."""
+    """Rebuild a trail from a manifest written by export_observed.  Each
+    ``event`` line adds every observation of its file, in order, and the
+    ``info``/``link`` lines after it annotate the last of them.  Every
+    event file must be about the manifest's subject."""
     manifest_path = FilePath(manifest_path)
     base = manifest_path.parent
     subject: Optional[Id] = None
     policy: RecordingPolicy = Manual()
     nodes: list[ObservedNode] = []
+    about: list[tuple[str, Id]] = []  # (event file, its subject)
     pending_info: list[str] = []
     pending_links: list[str] = []
 
@@ -607,7 +636,9 @@ def import_observed(manifest_path) -> tuple[ObservedTrail, RecordingPolicy]:
             policy = _parse_policy(rest.strip())
         elif keyword == "event":
             flush_info()
-            event = parse_location_event((base / rest.strip()).read_bytes())
+            name = rest.strip()
+            event = parse_location_event((base / name).read_bytes())
+            about.append((name, event.id))
             for obs in event.observations:
                 nodes.append(ObservedNode(obs.time_of_observation, obs.where))
         elif keyword == "info":
@@ -619,6 +650,9 @@ def import_observed(manifest_path) -> tuple[ObservedTrail, RecordingPolicy]:
     flush_info()
     if subject is None:
         raise ValueError("manifest names no subject")
+    for name, id_ in about:
+        if id_ != subject:
+            raise ValueError(f"{name} is about {id_.key}, not the manifest's subject {subject.key}")
     return ObservedTrail(subject, tuple(nodes)), policy
 
 

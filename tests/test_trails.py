@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import statistics
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,7 @@ from gloss.trails import (
     recommended_order,
     routes_through,
 )
+from gloss.wire import LocationEvent, Observation, parse_location_event, serialize_location_event
 
 SUBJECT = Id(IdKind.BIT_STRING, "walker")
 BASE = LatLongCoordinate(56.34, -2.8)
@@ -622,6 +624,32 @@ class TestRoutesThrough:
             Route((Path(self.W1, self.W2), Path(self.W3, self.W4)))
 
 
+_NOTES = (
+    Information(("note",), ()),
+    Information((), ("https://x.example/a b",)),
+    Information(("", "  two words"), ("l",)),
+)
+
+
+@st.composite
+def _annotated_trails(draw):
+    """Trails of 0-30 nodes with info on a subset: none, all, the first,
+    the last, consecutive pairs, or any."""
+    n = draw(st.integers(0, 30))
+    pairs = {k for k in range(n) if k % 5 in (1, 2)}
+    chosen = draw(
+        st.sampled_from([set(), set(range(n)), {0}, {n - 1}, pairs])
+        | st.sets(st.integers(0, max(n - 1, 0)), max_size=n)
+    )
+    t = 0
+    nodes = []
+    for k in range(n):
+        t += draw(st.integers(0, 120))
+        info = draw(st.sampled_from(_NOTES)) if k in chosen else None
+        nodes.append(_node(t, draw(st.sampled_from([SITE_A, SITE_B, SITE_C])), info))
+    return _trail(*nodes)
+
+
 class TestExportImport:
     def _rich_trail(self):
         return ObservedTrail(
@@ -663,6 +691,84 @@ class TestExportImport:
         trail = ObservedTrail(SUBJECT, (ObservedNode(region, W(SITE_A)),))
         with pytest.raises(ValueError):
             export_observed(trail, Manual(), tmp_path)
+
+    @given(_annotated_trails())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_in_runs(self, trail):
+        with tempfile.TemporaryDirectory() as folder:
+            manifest = export_observed(trail, Manual(), folder)
+            got, _ = import_observed(manifest)
+            lines = manifest.read_text().splitlines()
+            names = [line[len("event "):] for line in lines if line.startswith("event ")]
+            files = sorted(p.name for p in manifest.parent.glob("*.xml"))
+            runs = [parse_location_event((manifest.parent / name).read_bytes()) for name in names]
+        assert got == trail
+        nodes = trail.nodes
+        with_info = sum(node.info is not None for node in nodes)
+        assert len(names) == with_info + (bool(nodes) and nodes[-1].info is None)
+        # a run ends at a node with info and at the last node, and is named after its end
+        ends = [i for i, node in enumerate(nodes) if node.info is not None or i == len(nodes) - 1]
+        assert names == files == [f"{i:04d}.xml" for i in ends]
+        assert [len(run.observations) for run in runs] == [b - a for a, b in zip([-1] + ends, ends)]
+
+    def test_one_file_per_node_manifest_still_imports(self, tmp_path):
+        # the layout export_observed wrote before it grouped runs
+        trail = self._rich_trail()
+        lines = [f"subject {trail.subject.key}", "policy manual"]
+        for i, node in enumerate(trail.nodes):
+            observation = Observation(time_of_observation=node.when, where=node.where)
+            event = LocationEvent(trail.subject, (), (observation,))
+            (tmp_path / f"{i:04d}.xml").write_bytes(serialize_location_event(event))
+            lines.append(f"event {i:04d}.xml")
+            lines += [f"info {text}" for text in (node.info.info if node.info else ())]
+            lines += [f"link {link}" for link in (node.info.links if node.info else ())]
+        (tmp_path / "trail.manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert import_observed(tmp_path / "trail.manifest") == (trail, Manual())
+
+    @pytest.mark.parametrize(
+        "trail",
+        [
+            pytest.param(
+                _trail(_node(0, SITE_A), ObservedNode(TemporalRegion([Period(T(10), T(20))]), W(SITE_B))),
+                id="period-after-time",
+            ),
+            pytest.param(_trail(_node(0, SITE_A, Information(("a\nlink evil",), ()))), id="info-newline"),
+            pytest.param(_trail(_node(0, SITE_A, Information(("a\u2028b",), ()))), id="info-line-separator"),
+            pytest.param(_trail(_node(0, SITE_A, Information((), ("a\rb",)))), id="link-carriage-return"),
+            pytest.param(_trail(_node(0, SITE_A, Information(("x ",), ()))), id="info-trailing-space"),
+            pytest.param(_trail(_node(0, SITE_A, Information((), (" l",)))), id="link-leading-space"),
+            pytest.param(_trail(_node(0, SITE_A, Information((), ("l\t",)))), id="link-trailing-tab"),
+            pytest.param(
+                _trail(_node(0, SITE_A), _node(60, SITE_B, Information()), _node(120, SITE_C)),
+                id="empty-information",
+            ),
+            pytest.param(
+                ObservedTrail(Id(IdKind.BIT_STRING, "walker "), (_node(0, SITE_A),)),
+                id="subject-trailing-space",
+            ),
+            pytest.param(
+                ObservedTrail(Id(IdKind.BIT_STRING, "walk\x85er"), (_node(0, SITE_A),)),
+                id="subject-next-line",
+            ),
+        ],
+    )
+    def test_refused_export_writes_nothing(self, tmp_path, trail):
+        with pytest.raises(ValueError):
+            export_observed(trail, Manual(), tmp_path / "t")
+        assert not (tmp_path / "t").exists()
+
+    def test_designated_regions_cannot_travel(self, tmp_path):
+        policy = Proximity((Region(PhysicalLocation(SITE_A)),), Distance(0.25, DistanceUnit.KM))
+        with pytest.raises(ValueError):
+            export_observed(self._rich_trail(), policy, tmp_path / "t")
+        assert not (tmp_path / "t").exists()
+
+    def test_event_files_must_be_about_the_subject(self, tmp_path):
+        manifest = export_observed(self._rich_trail(), Manual(), tmp_path)
+        text = manifest.read_text()
+        manifest.write_text(text.replace("subject phone:+44 79 41", "subject bitString:someone else"))
+        with pytest.raises(ValueError, match="0000.xml"):
+            import_observed(manifest)
 
     def test_import_rejects_junk(self, tmp_path):
         bad = tmp_path / "trail.manifest"
