@@ -39,10 +39,13 @@ def _epsilon(text: str) -> Distance:
     return Distance(float(value), unit)
 
 
+def _gazetteer(args) -> Gazetteer | None:
+    return Gazetteer.from_file(args.gazetteer) if args.gazetteer else None
+
+
 def _store(args) -> EventStore:
-    gazetteer = Gazetteer.from_file(args.gazetteer) if args.gazetteer else None
     store = EventStore(
-        step_label=args.step_label, journal=args.journal, gazetteer=gazetteer
+        step_label=args.step_label, journal=args.journal, gazetteer=_gazetteer(args)
     )
     if args.journal and Path(args.journal).exists():
         store.replay(args.journal)  # before appending, so earlier invocations count
@@ -129,8 +132,7 @@ def _cmd_trail_distill(args) -> int:
     for name in args.manifests:
         trail, _policy = import_observed(name)
         trails.append(trail)
-    gazetteer = Gazetteer.from_file(args.gazetteer) if args.gazetteer else None
-    archetype = distill_archetypal(trails, args.epsilon, gazetteer)
+    archetype = distill_archetypal(trails, args.epsilon, _gazetteer(args))
     sys.stdout.write(export_archetypal(archetype))
     return 0
 

@@ -19,6 +19,7 @@ from .errors import (
     GlossError,
     NoOrderExists,
     OutOfOrderObservation,
+    PatternMismatch,
     TooLarge,
     UnknownEndpoint,
     Unresolvable,
@@ -548,13 +549,18 @@ def export_observed(
 
     Raises ValueError, before anything is written, for what the manifest
     cannot carry back unchanged: a Proximity policy with designated
-    regions; a node not stamped with a Time; a line break in the subject
-    key, an info text or a link; trailing whitespace in the key or an info
-    text, or leading or trailing whitespace in a link; an Information with
-    neither text nor link."""
+    regions; a subject that make_id refuses; a node not stamped with a
+    Time; a line break in the subject key, an info text or a link;
+    trailing whitespace in the key or an info text, or leading or
+    trailing whitespace in a link; an Information with neither text nor
+    link."""
     if isinstance(policy, Proximity) and policy.designated:
         raise ValueError("the manifest carries no designated regions")
     key = trail.subject.key
+    try:
+        make_id(trail.subject.kind, trail.subject.value)
+    except PatternMismatch as e:
+        raise ValueError(f"subject {key!r} would not read back: {e}") from None
     texts = [(key, str.rstrip)]  # each with what the manifest reader strips off it
     for node in trail.nodes:
         if not isinstance(node.when, Time):

@@ -170,9 +170,13 @@ class ValidationReport:
 # is "1" (required), "?" (optional), "+" or "*" (a run, indexed in paths),
 # "|" (an optional choice; the reader maps local names to readers) or "..."
 # (the reader gets every child left).  Each child is read as the walk
-# reaches it, so breaches come in document order.  A path is the root's
-# string, or a (parent path, local name, index) tuple, index 0 meaning not
-# indexed; it is spelled out only when a breach or a warning is reported.
+# reaches it, so breaches come in document order, and every child is read
+# even after one fails, so validation sees them all.  A breach is reported
+# where it is found; a reader that cannot build its value returns _BAD, and
+# so does the walk of an element any of whose particles failed, so a reader
+# tests its walk once, never each value.  A path is the root's string, or a
+# (parent path, local name, index) tuple, index 0 meaning not indexed; it
+# is spelled out only when a breach or a warning is reported.
 
 _BAD = object()  # subtree failed; distinct from None, which is a legal value
 _QUALIFIER = f"{{{NS}}}"
@@ -278,69 +282,66 @@ _OCCURS = {"1": _ONE, "?": _OPT, "+": _SOME, "*": _ANY, "|": _CHOICE, "...": _RE
 
 def _walk(ctx: _Ctx, el: ET.Element, path, grammar, exact=False):
     """One value per particle of `grammar`, reading el's children in order:
-    a reader's result (or _BAD), None for an absent optional, a list for a
-    run (or _BAD if any member failed).  A child with a particle's local name
-    in another namespace is read and reported, or with exact=True left for
-    later particles.  The first child no particle claims is unexpected."""
+    a reader's result, None for an absent optional, a list for a run; or
+    _BAD if a reader failed, a required child is missing or a run is empty
+    where it may not be.  A child with a particle's local name in another
+    namespace is read and reported, or with exact=True left for later
+    particles.  The first child no particle claims is unexpected."""
     kids = _children(ctx, el, path)
     count = len(kids)
     i = 0
     values = []
+    bad = False
     for occurs, local, qname, reader in grammar:
         if occurs < _SOME:  # "1" or "?"
-            if i < count:
-                kid = kids[i]
-                tag = kid.tag
-                if tag == qname:
-                    i += 1
-                    values.append(reader(ctx, kid, (path, local, 0)))
-                    continue
-                if not (exact or tag in _LOCAL or _local(tag) != local):
-                    i += 1
-                    values.append(reader(ctx, kid, _named(ctx, kid, path, local)))
-                    continue
-            if occurs == _OPT:
+            tag = kids[i].tag if i < count else None
+            if tag == qname:
+                child = (path, local, 0)
+            elif tag is None or exact or tag in _LOCAL or _local(tag) != local:
+                if occurs == _ONE:
+                    ctx.fail((path, local, 0), "minOccurs", f"missing {local}")
+                    bad = True
                 values.append(None)
                 continue
-            ctx.fail((path, local, 0), "minOccurs", f"missing {local}")
-            values.append(_BAD)
+            else:
+                child = _named(ctx, kids[i], path, local)
+            value = reader(ctx, kids[i], child)
+            i += 1
         elif occurs < _CHOICE:  # "+" or "*"
             run = []
-            taken = 0
             while i < count:
                 kid = kids[i]
                 tag = kid.tag
                 if tag != qname and (exact or tag in _LOCAL or _local(tag) != local):
                     break
                 i += 1
-                taken += 1
-                child = (path, local, taken)
+                child = (path, local, len(run) + 1)
                 if tag != qname:
                     ctx.fail(child, "namespace", f"element {local!r} not in {NS}")
                 item = reader(ctx, kid, child)
                 if item is _BAD:
-                    run = _BAD
-                elif run is not _BAD:
-                    run.append(item)
-            if not taken and occurs == _SOME:
+                    bad = True
+                run.append(item)
+            if not run and occurs == _SOME:
                 ctx.fail((path, local, 0), "minOccurs", f"at least one {local} required")
-                run = _BAD
+                bad = True
             values.append(run)
+            continue
         elif occurs == _CHOICE:
             value = None
-            if i < count:
-                chosen = _local(kids[i].tag)
-                if chosen in reader:
-                    kid = kids[i]
-                    i += 1
-                    value = reader[chosen](ctx, kid, _named(ctx, kid, path, chosen))
-            values.append(value)
+            chosen = _local(kids[i].tag) if i < count else None
+            if chosen in reader:
+                value = reader[chosen](ctx, kids[i], _named(ctx, kids[i], path, chosen))
+                i += 1
         else:
-            values.append(reader(ctx, kids[i:], path))
-            return values
+            value = reader(ctx, kids[i:], path)
+            i = count
+        if value is _BAD:
+            bad = True
+        values.append(value)
     if i < count:
         ctx.fail((path, _local(kids[i].tag), 0), "unexpected", "element not allowed here")
-    return values
+    return _BAD if bad else values
 
 
 def _grammar(*particles):
@@ -357,51 +358,40 @@ def _read_text(ctx: _Ctx, el: ET.Element, path) -> str:
     return el.text or ""
 
 
-def _double(kind=None, what=""):
-    """A reader of doubles; given a ScalarKind, of doubles in its closed
-    interval, `what` naming them in breaches."""
+def _number(kind=None, what=""):
+    """A reader of doubles; given a ScalarKind, of numbers in its closed
+    interval, integers if it is integral, `what` naming them in breaches."""
     lo, hi = (None, None) if kind is None else kind.bounds
+    integral = kind is not None and kind.integral
+    lexical, noun = ("integer", "an integer") if integral else ("double", "a double")
 
     def read(ctx: _Ctx, el: ET.Element, path):
         text = (el.text or "").strip()
-        if text and "_" not in text:
+        v = None
+        if integral:
+            if _INTEGER_RE.match(text):
+                v = int(text)
+        elif text and "_" not in text:
             try:
                 v = float(text)
             except ValueError:
                 pass
-            else:
-                if lo is None or lo <= v <= hi:
-                    return v
-                if v != v:  # NaN has no place in a closed interval
-                    ctx.fail(path, "double", f"{what} is NaN")
-                elif v < lo:
-                    ctx.fail(path, "minInclusive", f"{what} {v!r} violates minInclusive={lo}")
-                else:
-                    ctx.fail(path, "maxInclusive", f"{what} {v!r} violates maxInclusive={hi}")
-                return _BAD
-        ctx.fail(path, "double", f"not a double: {text!r}")
+        if v is None:
+            ctx.fail(path, lexical, f"not {noun}: {text!r}")
+        elif lo is None or lo <= v <= hi:
+            return v
+        elif v != v:  # NaN has no place in a closed interval
+            ctx.fail(path, "double", f"{what} is NaN")
+        elif v < lo:
+            ctx.fail(path, "minInclusive", f"{what} {v!r} violates minInclusive={lo}")
+        else:
+            ctx.fail(path, "maxInclusive", f"{what} {v!r} violates maxInclusive={hi}")
         return _BAD
 
     return read
 
 
-_read_double = _double()
-
-
-def _read_sat_count(ctx: _Ctx, el: ET.Element, path):
-    text = (el.text or "").strip()
-    if _INTEGER_RE.match(text) is None:
-        ctx.fail(path, "integer", f"not an integer: {text!r}")
-        return _BAD
-    v = int(text)
-    lo, hi = _SAT_COUNT.bounds
-    if v < lo:
-        ctx.fail(path, "minInclusive", f"satellitesVisible {v} violates minInclusive={lo}")
-        return _BAD
-    if v > hi:
-        ctx.fail(path, "maxInclusive", f"satellitesVisible {v} violates maxInclusive={hi}")
-        return _BAD
-    return v
+_read_double = _number()
 
 
 def _read_datetime(ctx: _Ctx, el: ET.Element, path):
@@ -556,24 +546,21 @@ def _read_id(ctx: _Ctx, el: ET.Element, path):
 
 
 def _compound(make, *particles):
-    """A reader of an element read by one or two `particles`, whose values
-    `make` combines unless one failed."""
+    """A reader of an element read by `particles`, whose values `make`
+    combines unless the walk failed."""
     grammar = _grammar(*particles)
-    if len(grammar) == 1:
-        def read(ctx: _Ctx, el: ET.Element, path):
-            (a,) = _walk(ctx, el, path, grammar)
-            return _BAD if a is _BAD else make(a)
-    else:
-        def read(ctx: _Ctx, el: ET.Element, path):
-            a, b = _walk(ctx, el, path, grammar)
-            return _BAD if a is _BAD or b is _BAD else make(a, b)
+
+    def read(ctx: _Ctx, el: ET.Element, path):
+        values = _walk(ctx, el, path, grammar)
+        return _BAD if values is _BAD else make(*values)
+
     return read
 
 
 _read_latlong = _compound(
     LatLongCoordinate,
-    ("latitude", "1", _double(_LATITUDE, "latitude")),
-    ("longitude", "1", _double(_LONGITUDE, "longitude")),
+    ("latitude", "1", _number(_LATITUDE, "latitude")),
+    ("longitude", "1", _number(_LONGITUDE, "longitude")),
 )
 _read_coordinate = _compound(lambda coordinate: coordinate, ("latLongCoordinate", "?", _read_latlong))
 _read_physical = _compound(PhysicalLocation, ("coordinate", "?", _read_coordinate))
@@ -630,7 +617,7 @@ _CLASSIFICATION = _grammar(("classificationType", "*", _read_text))
 
 
 def _read_classification(ctx: _Ctx, el: ET.Element, path):
-    (types,) = _walk(ctx, el, path, _CLASSIFICATION)
+    (types,) = _walk(ctx, el, path, _CLASSIFICATION)  # a run of text never fails
     if not types:
         ctx.fail((path, "classificationType", 0), "minOccurs", "at least one type required")
         return _BAD
@@ -647,7 +634,20 @@ _ADDRESS_FIELDS = (
     ("webAddress", "web_address", _read_text),
     ("email", "email", _read_email),
 )
-_CLASSIFIED = _grammar(
+
+
+def _classified_location(located, classifications, description):
+    classifications = tuple(classifications)
+    if located is None:
+        return ClassifiedLocation(classifications, description)
+    product, address = located
+    if product is None:
+        return AddressLocation(classifications, description, address)
+    return ProductLocation(classifications, description, address, *product)
+
+
+_read_classified = _compound(
+    _classified_location,
     ("addressLocation", "?", _compound(
         lambda product, address: (product, address),
         ("productLocation", "?", _compound(
@@ -665,32 +665,17 @@ _CLASSIFIED = _grammar(
 )
 
 
-def _read_classified(ctx: _Ctx, el: ET.Element, path):
-    located, classifications, description = _walk(ctx, el, path, _CLASSIFIED)
-    if located is _BAD or classifications is _BAD or description is _BAD:
-        return _BAD
-    classifications = tuple(classifications)
-    if located is None:
-        return ClassifiedLocation(classifications, description)
-    product, address = located
-    if product is None:
-        return AddressLocation(classifications, description, address)
-    return ProductLocation(classifications, description, address, *product)
-
-
 def _read_symbolic(ctx: _Ctx, el: ET.Element, path):
     depth = ctx.depth
     if depth >= _NESTING_CAP:
         ctx.fail("/", "depth", "document nesting too deep")
         return _BAD
     ctx.depth = depth + 1
-    subtype, information, region, locales, fixed = _walk(ctx, el, path, _SYMBOLIC)
+    values = _walk(ctx, el, path, _SYMBOLIC)
     ctx.depth = depth
-    if (
-        subtype is _BAD or information is _BAD or region is _BAD
-        or locales is _BAD or fixed is _BAD
-    ):
+    if values is _BAD:
         return _BAD
+    subtype, information, region, locales, fixed = values
     return SymbolicLocation(information, region, subtype, tuple(locales), fixed)
 
 
@@ -704,15 +689,12 @@ def _read_locale(ctx: _Ctx, el: ET.Element, path):
     ctx.depth = depth + 1
     # exact matching: a same-name element outside the namespace falls
     # through to the extensions instead of being a violation
-    parent, classifications, contents, neighbours, extensions = _walk(
-        ctx, el, path, _LOCALE, exact=True
-    )
+    values = _walk(ctx, el, path, _LOCALE, exact=True)
     ctx.depth = depth
-    if parent is _BAD or classifications is _BAD or contents is _BAD or neighbours is _BAD:
+    if values is _BAD:
         return _BAD
-    return Locale(
-        parent, tuple(classifications), tuple(contents), tuple(neighbours), extensions
-    )
+    parent, classifications, contents, neighbours, extensions = values
+    return Locale(parent, tuple(classifications), tuple(contents), tuple(neighbours), extensions)
 
 
 def _read_extensions(ctx: _Ctx, kids: list, path) -> tuple[str, ...]:
@@ -764,27 +746,21 @@ def _read_where(ctx: _Ctx, el: ET.Element, path):
 _OBS_OPTIONAL = (
     ("altitude", "altitude", lambda ctx, el, p: _read_quantity(ctx, el, p, "altitude")),
     ("speed", "speed", lambda ctx, el, p: _read_quantity(ctx, el, p, "speed")),
-    ("course", "course", _double(_BEARING, "course")),
-    ("magneticVariation", "magnetic_variation", _double(_BEARING, "magneticVariation")),
-    ("satellitesVisible", "satellites_visible", _read_sat_count),
+    ("course", "course", _number(_BEARING, "course")),
+    ("magneticVariation", "magnetic_variation", _number(_BEARING, "magneticVariation")),
+    ("satellitesVisible", "satellites_visible", _number(_SAT_COUNT, "satellitesVisible")),
     ("PDOP", "pdop", _read_double),
     ("HDOP", "hdop", _read_double),
     ("VDOP", "vdop", _read_double),
     ("HPE", "hpe", _read_double),
     ("VPE", "vpe", _read_double),
 )
-_OBSERVATION = _grammar(
+_read_observation = _compound(
+    lambda t, where, fields: Observation(t, where, **fields),
     ("timeOfObservation", "1", _read_datetime),
     ("where", "1", _read_where),
     (None, "...", _optional_fields(_OBS_OPTIONAL, "observation", ("timeOfObservation", "where"))),
 )
-
-
-def _read_observation(ctx: _Ctx, el: ET.Element, path):
-    t, where, fields = _walk(ctx, el, path, _OBSERVATION)
-    if fields is _BAD or t is _BAD or where is _BAD:
-        return _BAD
-    return Observation(time_of_observation=t, where=where, **fields)
 
 
 _read_sequence = _compound(tuple, ("processingStep", "*", _compound(
@@ -794,31 +770,30 @@ _read_sequence = _compound(tuple, ("processingStep", "*", _compound(
 )))
 
 
-_EVENT = _grammar(
+_read_event = _compound(
+    lambda id_, steps, observations: LocationEvent(id_, steps, tuple(observations)),
     ("ID", "1", _read_id),
     ("processingSequence", "1", _read_sequence),
     ("observation", "+", _read_observation),
 )
 
 
-def _read_event(ctx: _Ctx, root: ET.Element):
-    event_id, steps, observations = _walk(ctx, root, "/locationEvent", _EVENT)
-    if event_id is _BAD or steps is _BAD or observations is _BAD:
-        return _BAD
-    return LocationEvent(event_id, steps, tuple(observations))
-
-
 def _document_root(ctx: _Ctx, document):
-    if isinstance(document, str):
-        data = document.encode("utf-8")
-    else:
-        data = bytes(document)
+    """The root element of a document, text or bytes; if it is not
+    well-formed, NotWellFormed parsing, or reported and _BAD validating."""
+    data = document.encode("utf-8") if isinstance(document, str) else bytes(document)
     try:
-        root = ET.fromstring(data)
+        return ET.fromstring(data)
     except ET.ParseError as e:
         if ctx.strict:
             raise NotWellFormed(str(e)) from None
         ctx.fail("/", "well-formed", str(e))
+        return _BAD
+
+
+def _read_document(ctx: _Ctx, document):
+    root = _document_root(ctx, document)
+    if root is _BAD:
         return _BAD
     local = _local(root.tag)
     if local != "locationEvent":
@@ -826,7 +801,7 @@ def _document_root(ctx: _Ctx, document):
         return _BAD
     if root.tag != _QNAME["locationEvent"]:
         ctx.fail("/locationEvent", "namespace", f"root element not in {NS}")
-    return root
+    return _read_event(ctx, root, "/locationEvent")
 
 
 def parse_location_event(document) -> LocationEvent:
@@ -836,16 +811,13 @@ def parse_location_event(document) -> LocationEvent:
     grammar or value-space breach, and SchemaViolation with rule "depth",
     as validate_document reports it, for nesting too deep to read.
     """
-    ctx = _Ctx(strict=True)
-    return _read_event(ctx, _document_root(ctx, document))
+    return _read_document(_Ctx(strict=True), document)
 
 
 def validate_document(document) -> ValidationReport:
     """Total validation: every violation collected, never raises."""
     ctx = _Ctx(strict=False)
-    root = _document_root(ctx, document)
-    if root is not _BAD:
-        _read_event(ctx, root)
+    _read_document(ctx, document)
     return ValidationReport(ctx.violations, ctx.warnings)
 
 
@@ -866,16 +838,9 @@ def parse_where(fragment) -> Where:
     they lived in the wire namespace.  Nesting too deep to read raises
     SchemaViolation with rule "depth", as parse_location_event does.
     """
-    if isinstance(fragment, str):
-        data = fragment.encode("utf-8")
-    else:
-        data = bytes(fragment)
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as e:
-        raise NotWellFormed(str(e)) from None
-    _qualify(root)
     ctx = _Ctx(strict=True)
+    root = _document_root(ctx, fragment)
+    _qualify(root)
     local = _local(root.tag)
     path = f"/{local}"
     if root.tag != _QUALIFIER + local:

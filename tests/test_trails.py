@@ -750,6 +750,10 @@ class TestExportImport:
                 ObservedTrail(Id(IdKind.BIT_STRING, "walk\x85er"), (_node(0, SITE_A),)),
                 id="subject-next-line",
             ),
+            pytest.param(
+                ObservedTrail(Id(IdKind.PHONE, "abc"), (_node(0, SITE_A),)),
+                id="subject-pattern",
+            ),
         ],
     )
     def test_refused_export_writes_nothing(self, tmp_path, trail):

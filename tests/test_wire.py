@@ -248,6 +248,7 @@ class TestMutations:
 
     def test_satellites_above_twelve(self, base):
         _assert_invalid(base.replace(">05<", ">13<"), "maxInclusive")
+        _assert_invalid(base.replace(">05<", ">-1<"), "minInclusive")  # and below zero
 
     def test_bad_unit_name(self, base):
         _assert_invalid(base.replace('unit="F"', 'unit="yards"'), "enumeration")
@@ -659,10 +660,15 @@ class TestGenerated:
             report = validate_document(data)
             try:
                 parse_location_event(data)
-                parsed = True
-            except (NotWellFormed, SchemaViolation):
-                parsed = False
-            assert parsed == report.ok, (i, report.violations)
+                breach = None
+            except NotWellFormed as exc:
+                breach = ("/", "well-formed", str(exc))
+            except SchemaViolation as exc:
+                breach = (exc.path, exc.rule, exc.detail)
+            assert (breach is None) == report.ok, (i, report.violations)
+            if breach is not None:  # one walk backs both: the first violation is the breach
+                first = report.violations[0]
+                assert breach == (first.path, first.rule, first.detail), i
 
 
 # -- golden digests -------------------------------------------------------------
