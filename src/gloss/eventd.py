@@ -57,27 +57,26 @@ def write_frame(sink: BinaryIO, document: bytes):
         raise OSError(f"short write: {written} of {len(frame)} frame bytes")
 
 
+def _read_exactly(source: BinaryIO, n: int, part: str) -> bytes:
+    chunks = []
+    while n:
+        chunk = source.read(n)
+        if not chunk:
+            raise EOFError(f"truncated frame {part}")
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)  # a single bytes chunk comes back as itself, uncopied
+
+
 def read_frame(source: BinaryIO) -> Optional[bytes]:
     """One length-prefixed document, or None at a clean end of stream."""
     header = source.read(4)
-    while len(header) < 4:  # nothing at all is a clean end; a short read is not
-        if not header:
-            return None
-        more = source.read(4 - len(header))
-        if not more:
-            raise EOFError("truncated frame header")
-        header += more
-    (length,) = struct.unpack(">I", header)
+    if not header:  # nothing at all is a clean end; a short read is not
+        return None
+    (length,) = struct.unpack(">I", header + _read_exactly(source, 4 - len(header), "header"))
     if length > _FRAME_CAP:
         raise EOFError(f"frame of {length} bytes exceeds the cap")
-    chunks = []
-    while length:
-        chunk = source.read(length)
-        if not chunk:
-            raise EOFError("truncated frame body")
-        chunks.append(chunk)
-        length -= len(chunk)
-    return b"".join(chunks)  # a single bytes chunk comes back as itself, uncopied
+    return _read_exactly(source, length, "body")
 
 
 class _Subject:

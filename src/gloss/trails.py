@@ -9,6 +9,7 @@ than silently approximate.
 
 from __future__ import annotations
 
+import os
 import statistics
 from dataclasses import dataclass
 from pathlib import Path as FilePath
@@ -19,7 +20,6 @@ from .errors import (
     GlossError,
     NoOrderExists,
     OutOfOrderObservation,
-    PatternMismatch,
     TooLarge,
     UnknownEndpoint,
     Unresolvable,
@@ -524,75 +524,12 @@ def _parse_policy(text: str) -> RecordingPolicy:
     tokens = text.split()
     if tokens == ["manual"]:
         return Manual()
-    if tokens[0] == "fixed-time" and len(tokens) == 2:
+    if tokens[:1] == ["fixed-time"] and len(tokens) == 2:
         return FixedTime(float(tokens[1]))
-    if tokens[0] in ("fixed-spatial", "proximity") and len(tokens) >= 3:
-        value = float(tokens[1])
-        unit = DistanceUnit(" ".join(tokens[2:]))
-        d = Distance(value, unit)
-        if tokens[0] == "fixed-spatial":
-            return FixedSpatial(d)
-        return Proximity((), d)
+    if tokens[:1] in (["fixed-spatial"], ["proximity"]) and len(tokens) >= 3:
+        d = Distance(float(tokens[1]), DistanceUnit(" ".join(tokens[2:])))
+        return FixedSpatial(d) if tokens[0] == "fixed-spatial" else Proximity((), d)
     raise ValueError(f"bad policy line: {text!r}")
-
-
-def export_observed(
-    trail: ObservedTrail, policy: RecordingPolicy, directory
-) -> FilePath:
-    """Write the trail as locationEvent files plus a manifest; returns the
-    manifest path.
-
-    Each run of nodes goes into one event, one observation per node.  A
-    run ends at a node with info and at the trail's last node; its file
-    is named after that node (``0007.xml`` for node 7), and the node's
-    ``info``/``link`` lines follow the run's ``event`` line.
-
-    Raises ValueError, before anything is written, for what the manifest
-    cannot carry back unchanged: a Proximity policy with designated
-    regions; a subject that make_id refuses; a node not stamped with a
-    Time; a line break in the subject key, an info text or a link;
-    trailing whitespace in the key or an info text, or leading or
-    trailing whitespace in a link; an Information with neither text nor
-    link."""
-    if isinstance(policy, Proximity) and policy.designated:
-        raise ValueError("the manifest carries no designated regions")
-    key = trail.subject.key
-    try:
-        make_id(trail.subject.kind, trail.subject.value)
-    except PatternMismatch as e:
-        raise ValueError(f"subject {key!r} would not read back: {e}") from None
-    texts = [(key, str.rstrip)]  # each with what the manifest reader strips off it
-    for node in trail.nodes:
-        if not isinstance(node.when, Time):
-            raise ValueError("only Time-stamped nodes can be exported")
-        if node.info is not None:
-            if node.info == Information():
-                raise ValueError("an Information with neither text nor link would read back as None")
-            texts += [(text, str.rstrip) for text in node.info.info]
-            texts += [(link, str.strip) for link in node.info.links]
-    for text, strip in texts:
-        if len(text.splitlines()) > 1 or strip(text) != text:
-            raise ValueError(f"{text!r} would not read back unchanged from the manifest")
-    directory = FilePath(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = [f"subject {key}", f"policy {_format_policy(policy)}"]
-    run: list[Observation] = []
-    last = len(trail.nodes) - 1
-    for i, node in enumerate(trail.nodes):
-        run.append(Observation(time_of_observation=node.when, where=node.where))
-        if node.info is None and i < last:
-            continue
-        name = f"{i:04d}.xml"
-        event = LocationEvent(trail.subject, (), tuple(run))
-        (directory / name).write_bytes(serialize_location_event(event))
-        run.clear()
-        lines.append(f"event {name}")
-        if node.info is not None:
-            lines.extend(f"info {text}" for text in node.info.info)
-            lines.extend(f"link {link}" for link in node.info.links)
-    manifest = directory / "trail.manifest"
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return manifest
 
 
 def parse_id_key(key: str) -> Id:
@@ -607,31 +544,15 @@ def parse_id_key(key: str) -> Id:
     return make_id(kind, value)
 
 
-def import_observed(manifest_path) -> tuple[ObservedTrail, RecordingPolicy]:
-    """Rebuild a trail from a manifest written by export_observed.  Each
-    ``event`` line adds every observation of its file, in order, and the
-    ``info``/``link`` lines after it annotate the last of them.  Every
-    event file must be about the manifest's subject."""
-    manifest_path = FilePath(manifest_path)
-    base = manifest_path.parent
+def _read_manifest(text: str) -> tuple[Id, RecordingPolicy, list[tuple[str, Optional[Information]]]]:
+    """The one reader of the manifest grammar: the subject, the policy
+    (Manual if unnamed) and, per ``event`` line, its plain file name and
+    the Information of the ``info``/``link`` lines after it, or None.
+    Blank and ``#`` lines are skipped; lines and links are stripped."""
     subject: Optional[Id] = None
     policy: RecordingPolicy = Manual()
-    nodes: list[ObservedNode] = []
-    about: list[tuple[str, Id]] = []  # (event file, its subject)
-    pending_info: list[str] = []
-    pending_links: list[str] = []
-
-    def flush_info():
-        if not nodes or (not pending_info and not pending_links):
-            return
-        node = nodes[-1]
-        nodes[-1] = ObservedNode(
-            node.when, node.where, Information(tuple(pending_info), tuple(pending_links))
-        )
-        pending_info.clear()
-        pending_links.clear()
-
-    for raw in manifest_path.read_text(encoding="utf-8").splitlines():
+    files: list[tuple[str, list[str], list[str]]] = []  # (file name, info texts, links)
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -639,26 +560,93 @@ def import_observed(manifest_path) -> tuple[ObservedTrail, RecordingPolicy]:
         if keyword == "subject":
             subject = parse_id_key(rest.strip())
         elif keyword == "policy":
-            policy = _parse_policy(rest.strip())
+            policy = _parse_policy(rest)
         elif keyword == "event":
-            flush_info()
             name = rest.strip()
-            event = parse_location_event((base / name).read_bytes())
-            about.append((name, event.id))
-            for obs in event.observations:
-                nodes.append(ObservedNode(obs.time_of_observation, obs.where))
-        elif keyword == "info":
-            pending_info.append(rest)
-        elif keyword == "link":
-            pending_links.append(rest.strip())
+            if name in ("", ".", "..") or "/" in name or "\\" in name:
+                raise ValueError(f"event file {name!r} is not a plain file name")
+            files.append((name, [], []))
+        elif keyword == "info" and files:
+            files[-1][1].append(rest)
+        elif keyword == "link" and files:
+            files[-1][2].append(rest.strip())
         else:
             raise ValueError(f"bad manifest line: {raw!r}")
-    flush_info()
     if subject is None:
         raise ValueError("manifest names no subject")
-    for name, id_ in about:
-        if id_ != subject:
-            raise ValueError(f"{name} is about {id_.key}, not the manifest's subject {subject.key}")
+    return subject, policy, [
+        (name, Information(tuple(info), tuple(links)) if info or links else None)
+        for name, info, links in files
+    ]
+
+
+def export_observed(trail: ObservedTrail, policy: RecordingPolicy, directory) -> FilePath:
+    """Write the trail as locationEvent files and a manifest; return its path.
+
+    Each run of nodes goes into one event, one observation per node.  A
+    run ends at a node with info and at the trail's last node; its file
+    is named after that node (``0007.xml``), and the node's
+    ``info``/``link`` lines follow the run's ``event`` line.
+
+    Raises, before writing anything, if an event fails to serialize, and
+    ValueError for a non-Time stamp or a manifest that would not read back
+    as given: a Proximity policy's designated regions, a subject make_id
+    refuses, a line break or stripped space in a text, an empty Information."""
+    lines = [f"subject {trail.subject.key}", f"policy {_format_policy(policy)}"]
+    files: list[tuple[str, Optional[Information], bytes]] = []  # (name, its info, serialized event)
+    run: list[Observation] = []
+    for i, node in enumerate(trail.nodes):
+        if not isinstance(node.when, Time):
+            raise ValueError("only Time-stamped nodes can be exported")
+        run.append(Observation(time_of_observation=node.when, where=node.where))
+        if node.info is None and i < len(trail.nodes) - 1:
+            continue
+        name = f"{i:04d}.xml"
+        event = LocationEvent(trail.subject, (), tuple(run))
+        files.append((name, node.info, serialize_location_event(event)))
+        run.clear()
+        lines.append(f"event {name}")
+        if node.info is not None:
+            lines.extend(f"info {text}" for text in node.info.info)
+            lines.extend(f"link {link}" for link in node.info.links)
+    text = "\n".join(lines) + "\n"
+    try:
+        read_back = _read_manifest(text)
+    except GlossError as e:
+        raise ValueError(f"the manifest would not read back: {e}") from None
+    if read_back != (trail.subject, policy, [(name, info) for name, info, _ in files]):
+        raise ValueError("the manifest would not read back this subject, policy and info")
+    directory = FilePath(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, _, data in files:
+        (directory / name).write_bytes(data)
+    manifest = directory / "trail.manifest"
+    manifest.write_text(text, encoding="utf-8")
+    return manifest
+
+
+def import_observed(manifest_path) -> tuple[ObservedTrail, RecordingPolicy]:
+    """Rebuild a trail from a manifest written by export_observed.  Each
+    ``event`` line adds every observation of its file, in order, and the
+    ``info``/``link`` lines after it annotate the last of them.  An event
+    file must be about the manifest's subject and not be a symlink."""
+    manifest_path = FilePath(manifest_path)
+    base = manifest_path.parent
+    subject, policy, files = _read_manifest(manifest_path.read_text(encoding="utf-8"))
+    nodes: list[ObservedNode] = []
+    for name, info in files:
+        try:
+            with open(os.open(base / name, os.O_RDONLY | os.O_NOFOLLOW), "rb") as f:
+                event = parse_location_event(f.read())
+        except OSError:
+            if os.path.islink(base / name):
+                raise ValueError(f"event file {name} is a symlink") from None
+            raise
+        if event.id != subject:
+            raise ValueError(f"{name} is about {event.id.key}, not the manifest's subject {subject.key}")
+        nodes.extend(ObservedNode(obs.time_of_observation, obs.where) for obs in event.observations)
+        if info is not None:
+            nodes[-1] = ObservedNode(nodes[-1].when, nodes[-1].where, info)
     return ObservedTrail(subject, tuple(nodes)), policy
 
 

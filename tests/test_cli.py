@@ -172,6 +172,13 @@ class TestTrailDistill:
         assert exc.value.code == 2
         assert "unknown distance unit" in capsys.readouterr().err
 
+    def test_policy_line_without_a_value(self, tmp_path, capsys):
+        manifest = Path(self._manifest(tmp_path, "walk1", [(0, 56.0, -2.0)]))
+        manifest.write_text(manifest.read_text().replace("policy manual", "policy"))
+        assert main(["trail", "distill", "--epsilon", "50m", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: bad policy line: ''"]  # one line, no traceback
+
     def test_missing_manifest(self, tmp_path, capsys):
         missing = str(tmp_path / "nope" / "trail.manifest")
         assert main(["trail", "distill", "--epsilon", "50m", missing]) == 2

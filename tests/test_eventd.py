@@ -732,6 +732,19 @@ class TestServer:
         assert lines == ["rejected: no place for this subject", "accepted=1"]
         assert store.subjects() == (SUBJECT,)
 
+    def test_truncated_body_ends_the_stream_and_the_server_serves_on(self):
+        store = EventStore(clock=_tick())
+        store.ingest(_doc(1, 5.0, 6.0))
+        before = (store.observations(SUBJECT), store.events_for(SUBJECT))
+        with _serving(store) as (port, reports):
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                sock.sendall((10).to_bytes(4, "big") + b"abc")  # 3 of 10 announced bytes, then close
+            assert reports.get(timeout=5) == "stream ended badly: truncated frame body"
+            assert (store.observations(SUBJECT), store.events_for(SUBJECT)) == before
+            self._send(port, [_doc(2, 5.0, 6.0)])
+            assert reports.get(timeout=5) == "accepted=1"
+        assert len(store.observations(SUBJECT)) == 2
+
     def test_journal_failure_ends_the_connection_with_one_line(self, tmp_path):
         store = EventStore(clock=_tick(), journal=tmp_path)  # a directory: the append fails
         with _serving(store) as (port, reports):

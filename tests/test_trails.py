@@ -16,6 +16,7 @@ from gloss.errors import (
     EmptyInput,
     EmptyWhere,
     NoOrderExists,
+    NotWellFormed,
     OutOfOrderObservation,
     TooLarge,
     UnknownEndpoint,
@@ -772,6 +773,48 @@ class TestExportImport:
         text = manifest.read_text()
         manifest.write_text(text.replace("subject phone:+44 79 41", "subject bitString:someone else"))
         with pytest.raises(ValueError, match="0000.xml"):
+            import_observed(manifest)
+
+    def test_unreadable_policy_writes_nothing(self, tmp_path):
+        # nan != nan: the policy line would not read back equal
+        with pytest.raises(ValueError):
+            export_observed(self._rich_trail(), FixedTime(math.nan), tmp_path / "t")
+        assert not (tmp_path / "t").exists()
+
+    def test_serialization_failure_writes_nothing(self, tmp_path):
+        bad = Where(Locale(extensions=("<unclosed",)))
+        trail = _trail(_node(0, SITE_A, Information(("a",), ())), ObservedNode(T(60), bad))
+        with pytest.raises(NotWellFormed):
+            export_observed(trail, Manual(), tmp_path / "t")
+        assert not (tmp_path / "t").exists()
+
+    def test_info_before_the_first_event_is_refused(self, tmp_path):
+        manifest = export_observed(self._rich_trail(), Manual(), tmp_path)
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines[:2] + ["info too early"] + lines[2:]) + "\n")
+        with pytest.raises(ValueError, match="too early"):
+            import_observed(manifest)
+
+    @pytest.mark.parametrize(
+        "line, symlink",
+        [
+            pytest.param("event ..", False, id="dot-dot"),
+            pytest.param("event ../b/0000.xml", False, id="sibling-folder"),
+            pytest.param("event {b}/0000.xml", False, id="absolute"),
+            pytest.param("event sub/0000.xml", False, id="separator"),
+            pytest.param("event 0000.xml", True, id="symlink-outside"),
+        ],
+    )
+    def test_event_files_stay_in_the_manifest_folder(self, tmp_path, line, symlink):
+        # a's manifest reaches for the good export in b; every file it names exists
+        export_observed(_trail(_node(0, SITE_A)), Manual(), tmp_path / "b")
+        (tmp_path / "a" / "sub").mkdir(parents=True)
+        (tmp_path / "a" / "sub" / "0000.xml").write_bytes((tmp_path / "b" / "0000.xml").read_bytes())
+        if symlink:
+            (tmp_path / "a" / "0000.xml").symlink_to(tmp_path / "b" / "0000.xml")
+        manifest = tmp_path / "a" / "trail.manifest"
+        manifest.write_text(f"subject {SUBJECT.key}\n{line.format(b=tmp_path / 'b')}\n")
+        with pytest.raises(ValueError, match="symlink" if symlink else "plain file name"):
             import_observed(manifest)
 
     def test_import_rejects_junk(self, tmp_path):
