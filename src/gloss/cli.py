@@ -39,6 +39,13 @@ def _epsilon(text: str) -> Distance:
     return Distance(float(value), unit)
 
 
+def _port(text: str) -> int:
+    port = int(text)  # argparse reports a ValueError as an invalid value
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"port {port} is not in 0-65535")
+    return port
+
+
 def _gazetteer(args) -> Gazetteer | None:
     return Gazetteer.from_file(args.gazetteer) if args.gazetteer else None
 
@@ -159,7 +166,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("listen", help="ingest length-prefixed documents from a TCP port")
-    p.add_argument("port", type=int)
+    p.add_argument("port", type=_port, help="0-65535; 0 picks a free port")
     p.set_defaults(func=_cmd_listen)
 
     p = sub.add_parser("query", help="interrogate the store")

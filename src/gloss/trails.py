@@ -10,6 +10,7 @@ than silently approximate.
 from __future__ import annotations
 
 import os
+import stat
 import statistics
 from dataclasses import dataclass
 from pathlib import Path as FilePath
@@ -300,18 +301,11 @@ def record_observation(
 
 
 def _merge_info(nodes: list[ObservedNode]) -> Information:
-    info: list[str] = []
-    links: list[str] = []
-    for n in nodes:
-        if n.info is None:
-            continue
-        for text in n.info.info:
-            if text not in info:
-                info.append(text)
-        for link in n.info.links:
-            if link not in links:
-                links.append(link)
-    return Information(tuple(info), tuple(links))
+    infos = [n.info for n in nodes if n.info is not None]
+    return Information(
+        tuple(dict.fromkeys(text for info in infos for text in info.info)),
+        tuple(dict.fromkeys(link for info in infos for link in info.links)),
+    )
 
 
 def _smallest_hamiltonian(keys: list[str], pairs: set[tuple[str, str]]):
@@ -629,19 +623,23 @@ def import_observed(manifest_path) -> tuple[ObservedTrail, RecordingPolicy]:
     """Rebuild a trail from a manifest written by export_observed.  Each
     ``event`` line adds every observation of its file, in order, and the
     ``info``/``link`` lines after it annotate the last of them.  An event
-    file must be about the manifest's subject and not be a symlink."""
+    file must be a regular file, not a symlink, about the manifest's subject."""
     manifest_path = FilePath(manifest_path)
     base = manifest_path.parent
     subject, policy, files = _read_manifest(manifest_path.read_text(encoding="utf-8"))
     nodes: list[ObservedNode] = []
     for name, info in files:
-        try:
-            with open(os.open(base / name, os.O_RDONLY | os.O_NOFOLLOW), "rb") as f:
-                event = parse_location_event(f.read())
+        try:  # O_NONBLOCK: opening a FIFO must not wait for a writer
+            fd = os.open(base / name, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
         except OSError:
             if os.path.islink(base / name):
                 raise ValueError(f"event file {name} is a symlink") from None
             raise
+        if not stat.S_ISREG(os.fstat(fd).st_mode):  # before open(), which leaks fd on a folder
+            os.close(fd)
+            raise ValueError(f"event file {name} is not a regular file")
+        with open(fd, "rb") as f:
+            event = parse_location_event(f.read())
         if event.id != subject:
             raise ValueError(f"{name} is about {event.id.key}, not the manifest's subject {subject.key}")
         nodes.extend(ObservedNode(obs.time_of_observation, obs.where) for obs in event.observations)

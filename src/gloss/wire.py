@@ -179,6 +179,8 @@ class ValidationReport:
 # is spelled out only when a breach or a warning is reported.
 
 _BAD = object()  # subtree failed; distinct from None, which is a legal value
+# expat refuses a "}" in a namespace name, so a tag starts with _QUALIFIER
+# exactly when it is in the wire namespace
 _QUALIFIER = f"{{{NS}}}"
 
 
@@ -210,29 +212,8 @@ class _Ctx:
             self.warnings.append(f"{_spell(path)}: {message}")
 
 
-# every element name the grammar reads, and its qualified tag
-_QNAME = {
-    local: _QUALIFIER + local
-    for local in (
-        "locationEvent ID bitString GUID phone email processingSequence processingStep "
-        "dateTime description observation timeOfObservation where symbolicLocation "
-        "physicalLocation region locale coordinate latLongCoordinate latitude longitude "
-        "distinguishedPoint bounds horizon circularBounds centre radius rectangularBounds "
-        "topLeft bottomRight information info link classifiedLocation landmark district "
-        "addressLocation productLocation openTime closeTime address nameNumber street town "
-        "county postCode webAddress classification classificationType fixed parent contents "
-        "neighbours altitude speed course magneticVariation satellitesVisible PDOP HDOP VDOP "
-        "HPE VPE"
-    ).split()
-}
-_LOCAL = {qname: local for local, qname in _QNAME.items()}
-
-
 def _local(tag: str) -> str:
-    local = _LOCAL.get(tag)
-    if local is None:
-        local = tag.rsplit("}", 1)[1] if tag.startswith("{") else tag
-    return local
+    return tag.rpartition("}")[2]
 
 
 def _attrs_ok(ctx: _Ctx, el: ET.Element, path, allowed: tuple[str, ...] = ()):
@@ -270,7 +251,7 @@ def _children(ctx: _Ctx, el: ET.Element, path, allowed: tuple[str, ...] = ()) ->
 def _named(ctx: _Ctx, kid: ET.Element, path, local: str):
     """The path of a child read as `local`, reported if outside the namespace."""
     child = (path, local, 0)
-    if kid.tag != _QNAME[local]:
+    if not kid.tag.startswith(_QUALIFIER):
         ctx.fail(child, "namespace", f"element {local!r} not in {NS}")
     return child
 
@@ -297,7 +278,7 @@ def _walk(ctx: _Ctx, el: ET.Element, path, grammar, exact=False):
             tag = kids[i].tag if i < count else None
             if tag == qname:
                 child = (path, local, 0)
-            elif tag is None or exact or tag in _LOCAL or _local(tag) != local:
+            elif tag is None or exact or tag.startswith(_QUALIFIER) or _local(tag) != local:
                 if occurs == _ONE:
                     ctx.fail((path, local, 0), "minOccurs", f"missing {local}")
                     bad = True
@@ -312,7 +293,7 @@ def _walk(ctx: _Ctx, el: ET.Element, path, grammar, exact=False):
             while i < count:
                 kid = kids[i]
                 tag = kid.tag
-                if tag != qname and (exact or tag in _LOCAL or _local(tag) != local):
+                if tag != qname and (exact or tag.startswith(_QUALIFIER) or _local(tag) != local):
                     break
                 i += 1
                 child = (path, local, len(run) + 1)
@@ -346,7 +327,7 @@ def _walk(ctx: _Ctx, el: ET.Element, path, grammar, exact=False):
 
 def _grammar(*particles):
     return tuple(
-        (_OCCURS[occurs], local, _QNAME.get(local), reader)
+        (_OCCURS[occurs], local, local and _QUALIFIER + local, reader)
         for local, occurs, reader in particles
     )
 
@@ -474,7 +455,7 @@ def _optional_fields(fields, what: str, required=()):
     copy breaches as maxOccurs.  Reads the keyword arguments, or _BAD."""
     index = {}
     for i, (local, _, _) in enumerate(fields):
-        index[local] = index[_QNAME[local]] = i
+        index[local] = index[_QUALIFIER + local] = i
 
     def read(ctx: _Ctx, kids: list, path):
         values = {}
@@ -495,7 +476,7 @@ def _optional_fields(fields, what: str, required=()):
                     continue
             local, keyword, reader = fields[idx]
             child = (path, local, 0)
-            if kid.tag != _QNAME[local]:
+            if not kid.tag.startswith(_QUALIFIER):
                 ctx.fail(child, "namespace", f"element {local!r} not in {NS}")
             if idx in seen:
                 ctx.fail(child, "maxOccurs", f"{local} appears more than once")
@@ -799,7 +780,7 @@ def _read_document(ctx: _Ctx, document):
     if local != "locationEvent":
         ctx.fail("/", "unexpected", f"root is {local!r}, expected locationEvent")
         return _BAD
-    if root.tag != _QNAME["locationEvent"]:
+    if not root.tag.startswith(_QUALIFIER):
         ctx.fail("/locationEvent", "namespace", f"root element not in {NS}")
     return _read_event(ctx, root, "/locationEvent")
 
@@ -843,7 +824,7 @@ def parse_where(fragment) -> Where:
     _qualify(root)
     local = _local(root.tag)
     path = f"/{local}"
-    if root.tag != _QUALIFIER + local:
+    if not root.tag.startswith(_QUALIFIER):
         ctx.fail(path, "namespace", f"fragment not in {NS}")
     if local == "where":
         return _read_where(ctx, root, path)

@@ -185,6 +185,23 @@ class TestTrailDistill:
 
 
 class TestListen:
+    def test_port_forms(self):
+        from gloss.cli import _port
+
+        assert [_port("0"), _port("8080"), _port("65535")] == [0, 8080, 65535]
+
+    @pytest.mark.parametrize("port", ["99999", "65536", "-1"])
+    def test_port_outside_the_range_is_a_usage_error(self, port):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "gloss.cli", "listen", port],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert done.returncode == 2
+        assert done.stderr.splitlines()[-1] == f"gloss listen: error: argument port: port {port} is not in 0-65535"
+        assert "Traceback" not in done.stderr
+
     def test_reports_each_line_as_it_happens(self, corpus_dir):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -3,9 +3,12 @@ brute-force oracles (BFS clustering, permutation search)."""
 
 import itertools
 import math
+import os
 import random
 import statistics
 import tempfile
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -406,6 +409,21 @@ class TestDistill:
         got = distill_archetypal(self._walks(), Distance(100.0))
         assert got.nodes[0].info.info == ("start here",)
         assert got.nodes[1].info.links == ("https://b.example",)
+
+    def test_merged_info_keeps_first_appearance_once(self):
+        walk = _trail(
+            _node(0, SITE_A, Information(("b", "a"), ("https://2",))),
+            _node(10, SITE_A, Information()),
+            _node(20, SITE_A),
+            _node(30, SITE_A, Information(("c", "b"), ("https://1", "https://2"))),
+            _node(40, SITE_B, Information(("far",), ())),
+        )
+        later = _trail(_node(100, SITE_A, Information(("a", "d", "c"), ("https://3", "https://1"))))
+        got = distill_archetypal([walk, later], Distance(100.0))
+        assert got.nodes[0].info == Information(
+            ("b", "a", "c", "d"), ("https://2", "https://1", "https://3")
+        )
+        assert got.nodes[1].info == Information(("far",), ())
 
     def test_deterministic(self):
         walks = self._walks()
@@ -816,6 +834,35 @@ class TestExportImport:
         manifest.write_text(f"subject {SUBJECT.key}\n{line.format(b=tmp_path / 'b')}\n")
         with pytest.raises(ValueError, match="symlink" if symlink else "plain file name"):
             import_observed(manifest)
+
+    @pytest.mark.parametrize("make", [os.mkfifo, os.mkdir], ids=["fifo", "directory"])
+    def test_event_file_that_is_not_a_regular_file_is_refused(self, tmp_path, make):
+        make(tmp_path / "0000.xml")
+        manifest = tmp_path / "trail.manifest"
+        manifest.write_text(f"subject {SUBJECT.key}\nevent 0000.xml\n")
+        done = threading.Event()
+
+        def writer():
+            # an import that waits on the FIFO for a writer gets one, which
+            # hangs up at once, so the test fails instead of hanging
+            deadline = time.monotonic() + 2
+            while not done.is_set() and time.monotonic() < deadline:
+                try:
+                    os.close(os.open(tmp_path / "0000.xml", os.O_WRONLY | os.O_NONBLOCK))
+                    return
+                except OSError:  # no reader yet, or a directory
+                    time.sleep(0.01)
+
+        helper = threading.Thread(target=writer, daemon=True)
+        open_before = len(os.listdir("/proc/self/fd"))
+        helper.start()
+        try:
+            with pytest.raises(ValueError, match="event file 0000.xml is not a regular file"):
+                import_observed(manifest)
+        finally:
+            done.set()
+            helper.join()
+        assert len(os.listdir("/proc/self/fd")) == open_before  # no descriptor left open
 
     def test_import_rejects_junk(self, tmp_path):
         bad = tmp_path / "trail.manifest"

@@ -555,6 +555,76 @@ class TestLaxCollection:
                 parse_location_event(document)
             assert (raised.value.path, raised.value.rule, raised.value.detail) == (path, rule, detail)
 
+    _LATITUDE = "<latitude>56.340232849121094</latitude>"
+    _LATLONG = "/locationEvent/observation[1]/where/physicalLocation/coordinate/latLongCoordinate"
+
+    @pytest.mark.parametrize(
+        "old, new, expected",
+        [
+            pytest.param(
+                _LATITUDE, '<x:latitude xmlns:x="urn:other">56.340232849121094</x:latitude>',
+                [(f"{_LATLONG}/latitude", "namespace", f"element 'latitude' not in {NS}")],
+                id="foreign-latitude",
+            ),
+            pytest.param(
+                _LATITUDE, "<frobnicator>56.340232849121094</frobnicator>",
+                [
+                    (f"{_LATLONG}/latitude", "minOccurs", "missing latitude"),
+                    (f"{_LATLONG}/longitude", "minOccurs", "missing longitude"),
+                    (f"{_LATLONG}/frobnicator", "unexpected", "element not allowed here"),
+                ],
+                id="unknown-wire-name",
+            ),
+            pytest.param(
+                "<PDOP>1.5</PDOP>", '<x:PDOP xmlns:x="urn:other">1.5</x:PDOP>',
+                [("/locationEvent/observation[1]/PDOP", "namespace", f"element 'PDOP' not in {NS}")],
+                id="foreign-optional-field",
+            ),
+            pytest.param(
+                "<PDOP>1.5</PDOP>", '<PDOP xmlns="">1.5</PDOP>',
+                [("/locationEvent/observation[1]/PDOP", "namespace", f"element 'PDOP' not in {NS}")],
+                id="unqualified-optional-field",
+            ),
+            pytest.param(
+                "<phone>+447941615809</phone>", '<x:phone xmlns:x="urn:other">+447941615809</x:phone>',
+                [("/locationEvent/ID/phone", "namespace", f"element 'phone' not in {NS}")],
+                id="foreign-choice",
+            ),
+            pytest.param(
+                "<processingStep>\n      <dateTime>2003-05-16T18:31:59</dateTime>\n"
+                "      <description>processed on PDA</description>\n    </processingStep>",
+                '<x:processingStep xmlns:x="urn:other"><dateTime>2003-05-16T18:31:59</dateTime>'
+                "<description>processed on PDA</description></x:processingStep>",
+                [
+                    (
+                        "/locationEvent/processingSequence/processingStep[1]", "namespace",
+                        f"element 'processingStep' not in {NS}",
+                    )
+                ],
+                id="foreign-run-member",
+            ),
+        ],
+    )
+    def test_namespace_verdicts(self, corpus_documents, old, new, expected):
+        gps = corpus_documents["gps-fix-phone.xml"].decode("latin-1")
+        assert gps.count(old) == 1
+        document = gps.replace(old, new)
+        assert [(v.path, v.rule, v.detail) for v in validate_document(document).violations] == expected
+        with pytest.raises(SchemaViolation) as raised:
+            parse_location_event(document)
+        assert (raised.value.path, raised.value.rule, raised.value.detail) == expected[0]
+
+    def test_root_outside_the_namespace(self, corpus_documents):
+        gps = corpus_documents["gps-fix-phone.xml"].decode("latin-1")
+        document = gps.replace("<locationEvent ", '<x:locationEvent xmlns:x="urn:other" ').replace(
+            "</locationEvent>", "</x:locationEvent>"
+        )
+        expected = ("/locationEvent", "namespace", f"root element not in {NS}")
+        assert [(v.path, v.rule, v.detail) for v in validate_document(document).violations] == [expected]
+        with pytest.raises(SchemaViolation) as raised:
+            parse_location_event(document)
+        assert (raised.value.path, raised.value.rule, raised.value.detail) == expected
+
 
 def _nested(levels: int) -> bytes:
     """An event whose where is a locale inside `levels - 1` parents."""
