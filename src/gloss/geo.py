@@ -19,10 +19,8 @@ from .errors import (
 )
 from .model import (
     Altitude,
-    AltitudeUnit,
     CircularBounds,
     Distance,
-    DistanceUnit,
     Gazetteer,
     Horizon,
     LatLongCoordinate,
@@ -30,7 +28,6 @@ from .model import (
     RectangularBounds,
     Region,
     Speed,
-    SpeedUnit,
     Where,
     resolve_region,
 )
@@ -53,30 +50,6 @@ __all__ = [
 
 EARTH_RADIUS_M = 6_371_000.0
 
-# metres (or metres/second) per unit
-_DISTANCE_FACTORS = {
-    DistanceUnit.M: 1.0,
-    DistanceUnit.KM: 1000.0,
-    DistanceUnit.MILES: 1609.344,
-    DistanceUnit.NAUTICAL_MILES: 1852.0,
-}
-_SPEED_FACTORS = {
-    SpeedUnit.M_PER_S: 1.0,
-    SpeedUnit.KM_PER_H: 1000.0 / 3600.0,
-    SpeedUnit.MILES_PER_H: 1609.344 / 3600.0,
-    SpeedUnit.KNOTS: 1852.0 / 3600.0,
-}
-_ALTITUDE_FACTORS = {
-    AltitudeUnit.METRES: 1.0,
-    AltitudeUnit.FEET: 0.3048,
-}
-
-_KINDS = [
-    (Altitude, AltitudeUnit, _ALTITUDE_FACTORS),
-    (Distance, DistanceUnit, _DISTANCE_FACTORS),
-    (Speed, SpeedUnit, _SPEED_FACTORS),
-]
-
 
 def convert_quantity(q, target_unit):
     """Convert a quantity to another unit of the same kind.
@@ -84,23 +57,23 @@ def convert_quantity(q, target_unit):
     Accepts the unit enum member or its wire string.  Raises
     UnitKindMismatch when the target belongs to a different kind.
     """
-    for cls, unit_cls, factors in _KINDS:
-        if isinstance(q, cls):
-            if not isinstance(target_unit, unit_cls):
-                try:
-                    target_unit = unit_cls(target_unit)
-                except ValueError:
-                    raise UnitKindMismatch(
-                        f"{target_unit!r} is not a {cls.__name__} unit"
-                    ) from None
-            if target_unit is q.unit:
-                return q
-            return cls(q.value * factors[q.unit] / factors[target_unit], target_unit)
-    raise UnitKindMismatch(f"not a quantity: {q!r}")
+    if not isinstance(q, (Altitude, Distance, Speed)):
+        raise UnitKindMismatch(f"not a quantity: {q!r}")
+    unit_cls = type(q.unit)
+    if not isinstance(target_unit, unit_cls):
+        try:
+            target_unit = unit_cls(target_unit)
+        except ValueError:
+            raise UnitKindMismatch(
+                f"{target_unit!r} is not a {type(q).__name__} unit"
+            ) from None
+    if target_unit is q.unit:
+        return q
+    return type(q)(q.value * q.unit.factor / target_unit.factor, target_unit)
 
 
 def distance_in_metres(d: Distance) -> float:
-    return d.value * _DISTANCE_FACTORS[d.unit]
+    return d.value * d.unit.factor
 
 
 def _haversine_m(lat1, lon1, cos1, lat2, lon2, cos2) -> float:

@@ -151,23 +151,34 @@ def make_id(kind: IdKind, value: str) -> Id:
 # Quantities
 
 
-class AltitudeUnit(Enum):
-    METRES = "M"
-    FEET = "F"
+class _Unit(Enum):
+    """A unit of measure: the value is its wire name, ``factor`` its size in
+    metres (in metres per second for a speed)."""
+
+    def __new__(cls, wire_name: str, factor: float):
+        member = object.__new__(cls)
+        member._value_ = wire_name
+        member.factor = factor
+        return member
 
 
-class DistanceUnit(Enum):
-    M = "m"
-    KM = "km"
-    MILES = "miles"
-    NAUTICAL_MILES = "nautical miles"
+class AltitudeUnit(_Unit):
+    METRES = ("M", 1.0)
+    FEET = ("F", 0.3048)
 
 
-class SpeedUnit(Enum):
-    M_PER_S = "m/s"
-    KM_PER_H = "km/h"
-    MILES_PER_H = "miles/h"
-    KNOTS = "knots"
+class DistanceUnit(_Unit):
+    M = ("m", 1.0)
+    KM = ("km", 1000.0)
+    MILES = ("miles", 1609.344)
+    NAUTICAL_MILES = ("nautical miles", 1852.0)
+
+
+class SpeedUnit(_Unit):
+    M_PER_S = ("m/s", 1.0)
+    KM_PER_H = ("km/h", 1000.0 / 3600.0)
+    MILES_PER_H = ("miles/h", 1609.344 / 3600.0)
+    KNOTS = ("knots", 1852.0 / 3600.0)
 
 
 @dataclass(frozen=True)

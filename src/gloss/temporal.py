@@ -38,6 +38,9 @@ _BMT_OFFSET_MILLIS = 3_600_000
 _MILLIS_PER_BEAT = 86_400.0
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _EPOCH = datetime(1970, 1, 1)  # naive: isoformat() then names no zone
+# the instants Time.lexical() can write: 0001-01-01T00:00:00Z to 9999-12-31T23:59:59.999Z
+_MIN_MILLIS = (date.min.toordinal() - _EPOCH_ORDINAL) * MILLIS_PER_DAY
+_MAX_MILLIS = (date.max.toordinal() + 1 - _EPOCH_ORDINAL) * MILLIS_PER_DAY - 1
 
 
 class _TwoDigits(dict):
@@ -54,8 +57,9 @@ def lex_datetime(text: str) -> tuple[int, bool]:
     """Epoch milliseconds of a dateTime lexical form, and whether the form
     names its zone.
 
-    Raises ValueError for anything outside the supported subset; a field
-    out of range gets the message datetime gives for it.
+    Raises ValueError for anything outside the supported subset, or for an
+    instant outside the years 1-9999 in UTC; a field out of range gets the
+    message datetime gives for it.
     """
     m = _DATETIME_RE.match(text.strip())
     if m is None:
@@ -78,6 +82,8 @@ def lex_datetime(text: str) -> tuple[int, bool]:
     millis = (((days * 24 + hour) * 60 + minute - offset) * 60 + second) * 1000
     if frac:
         millis += int(round(float(frac) * 1000))
+    if not _MIN_MILLIS <= millis <= _MAX_MILLIS:
+        raise ValueError(f"{text!r} lies outside the years 1-9999 in UTC")
     return millis, zone is not None
 
 
@@ -98,7 +104,8 @@ class Time:
     def from_lexical(cls, text: str) -> "Time":
         """Parse a dateTime lexical form, lossless to milliseconds.
 
-        Raises ValueError for anything outside the supported subset.
+        Raises ValueError for anything outside the supported subset or
+        outside the years 1-9999 in UTC.
         """
         return cls(lex_datetime(text)[0])
 

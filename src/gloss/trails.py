@@ -480,19 +480,8 @@ def routes_through(
             visited.remove(tk)
 
     walk(start_key, {start_key}, [])
-
-    def route_sort_key(r: Route):
-        hops = tuple(
-            (
-                _where_key(p.from_where),
-                _where_key(p.to_where),
-                "" if p.mode is None else p.mode.value,
-            )
-            for p in r.paths
-        )
-        return (len(r.paths), hops)
-
-    routes.sort(key=route_sort_key)
+    # the walk takes paths in (target key, mode) order, so a stable sort keeps hop order
+    routes.sort(key=lambda r: len(r.paths))
     return routes
 
 

@@ -761,10 +761,10 @@ _read_event = _compound(
 
 def _document_root(ctx: _Ctx, document):
     """The root element of a document, text or bytes; if it is not
-    well-formed, NotWellFormed parsing, or reported and _BAD validating."""
-    data = document.encode("utf-8") if isinstance(document, str) else bytes(document)
+    well-formed, NotWellFormed parsing, or reported and _BAD validating.
+    Text is read as already decoded, whatever encoding it declares."""
     try:
-        return ET.fromstring(data)
+        return ET.fromstring(document if isinstance(document, str) else bytes(document))
     except ET.ParseError as e:
         if ctx.strict:
             raise NotWellFormed(str(e)) from None

@@ -174,6 +174,54 @@ class TestConversions:
         assert distance_in_metres(Distance(2.0, DistanceUnit.KM)) == 2000.0
 
 
+# Each unit's size as a literal, written apart from the unit enums, so a
+# member whose factor drifts (or that has none) shows up here.
+_LITERAL_FACTORS = {
+    DistanceUnit.M: 1.0,
+    DistanceUnit.KM: 1000.0,
+    DistanceUnit.MILES: 1609.344,
+    DistanceUnit.NAUTICAL_MILES: 1852.0,
+    SpeedUnit.M_PER_S: 1.0,
+    SpeedUnit.KM_PER_H: 1000.0 / 3600.0,
+    SpeedUnit.MILES_PER_H: 1609.344 / 3600.0,
+    SpeedUnit.KNOTS: 1852.0 / 3600.0,
+    AltitudeUnit.METRES: 1.0,
+    AltitudeUnit.FEET: 0.3048,
+}
+
+_UNIT_PAIRS = [
+    (quantity, u1, u2)
+    for quantity, units in ((Altitude, AltitudeUnit), (Distance, DistanceUnit), (Speed, SpeedUnit))
+    for u1 in units
+    for u2 in units
+]
+
+
+class TestUnitFactorsPinned:
+    def test_every_member_carries_its_literal_factor(self):
+        members = [*AltitudeUnit, *DistanceUnit, *SpeedUnit]
+        assert {u: u.factor for u in members} == _LITERAL_FACTORS
+
+    @pytest.mark.parametrize("quantity,u1,u2", _UNIT_PAIRS)
+    @given(
+        value=st.floats(min_value=0.0, max_value=1e300) | st.sampled_from([0.1, 123.45, 5e-324]),
+        below=st.booleans(),
+    )
+    @settings(max_examples=30)
+    def test_conversion_matches_the_literal_table_bit_for_bit(self, quantity, u1, u2, value, below):
+        if below and quantity is Altitude:  # only an altitude may be negative
+            value = -value
+        got = convert_quantity(quantity(value, u1), u2)
+        expected = value if u1 is u2 else value * _LITERAL_FACTORS[u1] / _LITERAL_FACTORS[u2]
+        assert type(got) is quantity and got.unit is u2
+        assert got.value.hex() == expected.hex()
+
+    @given(value=st.floats(min_value=0.0, max_value=1e300), unit=st.sampled_from(list(DistanceUnit)))
+    def test_distance_in_metres_matches_the_literal_table(self, value, unit):
+        got = distance_in_metres(Distance(value, unit))
+        assert got.hex() == (value * _LITERAL_FACTORS[unit]).hex()
+
+
 # -- great-circle distance ---------------------------------------------------
 
 

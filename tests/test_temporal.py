@@ -38,7 +38,8 @@ _ZONE_SUFFIX_RE = re.compile(r"(Z|[+-]\d{2}:\d{2})$")
 
 
 def _oracle_millis(text: str) -> int:
-    """The reading Time.from_lexical used to do, through an aware datetime."""
+    """The reading Time.from_lexical used to do, through an aware datetime,
+    limited to the instants Time.lexical() can write."""
     m = _ORACLE_RE.match(text.strip())
     if m is None:
         raise ValueError(f"malformed dateTime: {text!r}")
@@ -53,6 +54,8 @@ def _oracle_millis(text: str) -> int:
     millis = int(round(dt.timestamp() * 1000))
     if frac:
         millis += int(round(float(frac) * 1000))
+    if not _millis(1, 1, 1) <= millis <= _millis(9999, 12, 31, 23, 59, 59, 999_000):
+        raise ValueError(f"{text!r} lies outside the years 1-9999 in UTC")
     return millis
 
 
@@ -209,6 +212,31 @@ class TestLexicalYears:
     def test_outside_years_1_to_9999_rejected(self, millis):
         with pytest.raises(ValueError):
             Time(millis).lexical()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["9999-12-31T23:59:59-23:59", "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59.9996Z"],
+    )
+    def test_instants_lexical_cannot_write_are_refused(self, text):
+        message = f"{text!r} lies outside the years 1-9999 in UTC"
+        with pytest.raises(ValueError) as raised:
+            lex_datetime(text)
+        assert str(raised.value) == message
+        with pytest.raises(ValueError, match="outside the years 1-9999 in UTC"):
+            Time.from_lexical(text)
+
+    @pytest.mark.parametrize(
+        "text, millis, lexical",
+        [
+            ("0001-01-01T00:00:00Z", _millis(1, 1, 1), "0001-01-01T00:00:00"),
+            ("0001-01-01T01:00:00+01:00", _millis(1, 1, 1), "0001-01-01T00:00:00"),
+            ("9999-12-31T23:59:59.999Z", _YEAR_10000 - 1, "9999-12-31T23:59:59.999"),
+            ("9999-12-31T22:59:59.999-01:00", _YEAR_10000 - 1, "9999-12-31T23:59:59.999"),
+        ],
+    )
+    def test_both_bounds_are_accepted(self, text, millis, lexical):
+        assert lex_datetime(text)[0] == millis
+        assert Time.from_lexical(text).lexical() == lexical
 
 
 class TestPeriod:

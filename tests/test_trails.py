@@ -72,7 +72,13 @@ from gloss.trails import (
     recommended_order,
     routes_through,
 )
-from gloss.wire import LocationEvent, Observation, parse_location_event, serialize_location_event
+from gloss.wire import (
+    LocationEvent,
+    Observation,
+    parse_location_event,
+    serialize_location_event,
+    serialize_where,
+)
 
 SUBJECT = Id(IdKind.BIT_STRING, "walker")
 BASE = LatLongCoordinate(56.34, -2.8)
@@ -150,6 +156,10 @@ class TestWhenOrdering:
         assert len(t.nodes) == 3
         with pytest.raises(OutOfOrderObservation):
             _trail(ObservedNode(lunch, W(SITE_A)), ObservedNode(region, W(SITE_B)))
+
+    def test_stamp_that_is_not_a_when_is_refused(self):
+        with pytest.raises(TypeError, match="not a When"):
+            _trail(ObservedNode("x", W(SITE_A)))
 
 
 class TestRecordObservation:
@@ -555,6 +565,44 @@ class TestRecommendedOrder:
             ArchetypalTrail(nodes + (ArchetypalNode("a", W(SITE_C)),), (), ())
 
 
+_ROUTE_PLACES = [W(_site(float(b), 300.0)) for b in range(0, 360, 50)]  # seven places
+
+
+@st.composite
+def _route_searches(draw):
+    """A route search over 2-7 places: any start and end (equal too), and
+    paths drawn with repeats, self-loops and parallel modes, given as a
+    set, a frozenset or a tuple."""
+    places = _ROUTE_PLACES[: draw(st.integers(2, len(_ROUTE_PLACES)))]
+    place = st.sampled_from(places)
+    hops = draw(
+        st.lists(
+            st.tuples(place, place, st.sampled_from([None, ModeTransport.FOOT, ModeTransport.CAR])),
+            max_size=2 * len(places),
+        )
+    )
+    connectivity = draw(st.sampled_from([set, frozenset, tuple]))(Path(*hop) for hop in hops)
+    return places, draw(place), draw(place), connectivity
+
+
+def _sorted_by_hop_keys(routes):
+    """The order routes_through gave by sorting on the full key, kept as an
+    oracle: length first, then each hop's serialized ends and mode."""
+
+    def full_key(r: Route):
+        hops = tuple(
+            (
+                serialize_where(p.from_where),
+                serialize_where(p.to_where),
+                "" if p.mode is None else p.mode.value,
+            )
+            for p in r.paths
+        )
+        return (len(r.paths), hops)
+
+    return sorted(routes, key=full_key)
+
+
 class TestRoutesThrough:
     W1, W2, W3, W4 = (W(_site(float(b), 300.0)) for b in (0, 90, 180, 270))
 
@@ -641,6 +689,16 @@ class TestRoutesThrough:
     def test_route_chaining_enforced(self):
         with pytest.raises(ValueError):
             Route((Path(self.W1, self.W2), Path(self.W3, self.W4)))
+
+    @given(_route_searches())
+    @settings(max_examples=300, deadline=None)
+    def test_order_matches_the_full_hop_key_sort(self, search):
+        places, start, end, connectivity = search
+        trail = self._trail_of(*places)
+        got = routes_through(trail, start, end, connectivity)
+        # the walk did not change and the sort is stable, so sorting its
+        # routes by the full key gives the list the full-key sort returned
+        assert got == _sorted_by_hop_keys(got)
 
 
 _NOTES = (
@@ -863,6 +921,22 @@ class TestExportImport:
             done.set()
             helper.join()
         assert len(os.listdir("/proc/self/fd")) == open_before  # no descriptor left open
+
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path):
+        trail = self._rich_trail()
+        manifest = export_observed(trail, FixedTime(30.0), tmp_path)
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        padded = ["# exported trail", "", "   # indented comment", "\t"]
+        for line in lines:
+            padded += [line, "#after " + line.split()[0], "   ", "  # note"]
+        manifest.write_text("\n".join(padded) + "\n", encoding="utf-8")
+        assert import_observed(manifest) == (trail, FixedTime(30.0))
+
+    def test_export_refuses_an_unknown_policy_before_writing(self, tmp_path):
+        folder = tmp_path / "t"
+        with pytest.raises(TypeError, match="not a recording policy"):
+            export_observed(self._rich_trail(), object(), folder)
+        assert not folder.exists()
 
     def test_import_rejects_junk(self, tmp_path):
         bad = tmp_path / "trail.manifest"

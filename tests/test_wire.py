@@ -500,6 +500,35 @@ class TestParseWhere:
         assert (raised.value.path, raised.value.rule) == ("/", "depth")
 
 
+class TestTextInput:
+    # gps-fix-phone.xml declares ISO-8859-1; as text it is already decoded
+    @pytest.mark.parametrize(
+        "edit, read",
+        [
+            pytest.param(
+                lambda gps: gps.replace("<where>", '<where name="Café">'),
+                lambda doc: parse_location_event(doc).observations[0].where.name,
+                id="parse_location_event",
+            ),
+            pytest.param(
+                lambda gps: gps.replace(">35.1<", ">Café<"),
+                lambda doc: [v.detail for v in validate_document(doc).violations],
+                id="validate_document",
+            ),
+            pytest.param(
+                lambda gps: '<?xml version="1.0" encoding="ISO-8859-1"?><where name="Café"/>',
+                lambda doc: parse_where(doc).name,
+                id="parse_where",
+            ),
+        ],
+    )
+    def test_text_reads_as_its_declared_bytes_do(self, corpus_documents, edit, read):
+        text = edit(corpus_documents["gps-fix-phone.xml"].decode("latin-1"))
+        from_bytes = read(text.encode("latin-1"))
+        assert "Café" in str(from_bytes) and "Ã" not in str(from_bytes)
+        assert read(text) == from_bytes
+
+
 class TestLaxCollection:
     def test_multiple_violations_collected(self, corpus_documents):
         text = corpus_documents["gps-fix-phone.xml"].decode("latin-1")
@@ -554,6 +583,23 @@ class TestLaxCollection:
             with pytest.raises(SchemaViolation) as raised:
                 parse_location_event(document)
             assert (raised.value.path, raised.value.rule, raised.value.detail) == (path, rule, detail)
+
+    @pytest.mark.parametrize("stamp", ["9999-12-31T23:59:59-23:59", "0001-01-01T00:00:00+01:00"])
+    def test_instant_outside_the_writable_years(self, corpus_documents, stamp):
+        gps = corpus_documents["gps-fix-phone.xml"].decode("latin-1")
+        document = gps.replace(
+            "<timeOfObservation>2003-05-16T18:31:59<", f"<timeOfObservation>{stamp}<"
+        )
+        expected = (
+            "/locationEvent/observation[1]/timeOfObservation",
+            "dateTime",
+            f"{stamp!r} lies outside the years 1-9999 in UTC",
+        )
+        report = validate_document(document)
+        assert [(v.path, v.rule, v.detail) for v in report.violations] == [expected]
+        with pytest.raises(SchemaViolation) as raised:
+            parse_location_event(document)
+        assert (raised.value.path, raised.value.rule, raised.value.detail) == expected
 
     _LATITUDE = "<latitude>56.340232849121094</latitude>"
     _LATLONG = "/locationEvent/observation[1]/where/physicalLocation/coordinate/latLongCoordinate"
