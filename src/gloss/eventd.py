@@ -82,8 +82,7 @@ def read_frame(source: BinaryIO) -> Optional[bytes]:
 class _Subject:
     """One subject's sorted entries, the subsequence the policy kept, and its events."""
 
-    def __init__(self, subject: Id):
-        self.id = subject
+    def __init__(self):
         # (millis, arrival, obs, node, policy key or None if unplaceable), sorted
         self.entries: list[tuple[int, int, Observation, ObservedNode, object]] = []
         self.kept: list[tuple[int, int, Observation, ObservedNode, object]] = []
@@ -118,7 +117,7 @@ class EventStore:
         self._sink: BinaryIO | None = None  # the journal's append handle, opened on first use
         self._gazetteer = gazetteer
         self._lock = threading.Lock()
-        self._subjects: dict[str, _Subject] = {}
+        self._subjects: dict[Id, _Subject] = {}  # keyed by the first Id seen
         self._arrivals = 0
 
     @property
@@ -155,9 +154,9 @@ class EventStore:
                     # unbuffered: each frame reaches the file in one write, at once
                     self._sink = open(self._journal, "ab", buffering=0)
                 write_frame(self._sink, bytes(document))
-            record = self._subjects.get(event.id.key)
+            record = self._subjects.get(event.id)
             if record is None:
-                record = self._subjects[event.id.key] = _Subject(event.id)
+                record = self._subjects[event.id] = _Subject()
             size = first = len(record.entries)  # first: earliest index that changed
             for obs in event.observations:
                 seen = len(record.seen)
@@ -197,7 +196,7 @@ class EventStore:
     # -- reads --
 
     def _record(self, subject: Id) -> _Subject:
-        record = self._subjects.get(subject.key)
+        record = self._subjects.get(subject)
         if record is None:
             raise UnknownSubject(f"no observations for {subject.key}")
         return record
@@ -220,12 +219,12 @@ class EventStore:
         with self._lock:
             record = self._record(subject)
             if record.trail is None:
-                record.trail = ObservedTrail(record.id, tuple(entry[3] for entry in record.kept))
+                record.trail = ObservedTrail(subject, tuple(entry[3] for entry in record.kept))
             return record.trail
 
     def subjects(self) -> tuple[Id, ...]:
         with self._lock:
-            return tuple(record.id for record in self._subjects.values())
+            return tuple(self._subjects)
 
     def replay(self, journal: str | FilePath) -> int:
         """Re-ingest a journal; duplicate observations fall out naturally.

@@ -349,12 +349,7 @@ def distill_archetypal(
     eps_m = distance_in_metres(epsilon)
     if eps_m <= 0:
         raise ValueError("epsilon must be positive")
-    flat: list[ObservedNode] = []
-    spans: list[tuple[int, int]] = []  # [start, end) into flat, one per trail
-    for trail in trails:
-        start = len(flat)
-        flat.extend(trail.nodes)
-        spans.append((start, len(flat)))
+    flat = [node for trail in trails for node in trail.nodes]
     if not flat:
         raise EmptyInput("no observations to distill")
     coords = [resolved_point(n.where, gazetteer) for n in flat]
@@ -363,31 +358,28 @@ def distill_archetypal(
     members: list[list[int]] = [[] for _ in range(n_clusters)]
     for i, c in enumerate(assignment):
         members[c].append(i)
+    key_of = [f"n{c}" for c in range(n_clusters)]
     nodes = []
     for c in range(n_clusters):
         centroid = spherical_centroid([coords[i] for i in members[c]])
         merged = _merge_info([flat[i] for i in members[c]])
-        nodes.append(
-            ArchetypalNode(f"n{c}", Where(PhysicalLocation(centroid)), merged)
-        )
-    key_of = [f"n{c}" for c in range(n_clusters)]
+        nodes.append(ArchetypalNode(key_of[c], Where(PhysicalLocation(centroid)), merged))
+    keys = [key_of[c] for c in assignment]  # each point's node key
 
     edge_deltas: dict[tuple[str, str], list[float]] = {}
     sequences: list[tuple[tuple[str, ...], int]] = []  # (collapsed seq, first-obs ms)
-    for (start, end), trail in zip(spans, trails):
-        seq: list[str] = []
-        for i in range(start, end):
-            key = key_of[assignment[i]]
-            if not seq or seq[-1] != key:
-                seq.append(key)
-            if i > start and assignment[i] != assignment[i - 1]:
-                hop = (key_of[assignment[i - 1]], key)
-                delta = (
-                    _when_millis(flat[i].when) - _when_millis(flat[i - 1].when)
-                ) / 1000.0
-                edge_deltas.setdefault(hop, []).append(delta)
-        if seq:
-            sequences.append((tuple(seq), _when_millis(trail.nodes[0].when)))
+    end = 0
+    for trail in trails:
+        start, end = end, end + len(trail.nodes)  # the trail's [start, end) in flat
+        if start == end:
+            continue
+        seq = [keys[start]]
+        for i in range(start + 1, end):
+            if keys[i] != seq[-1]:  # a change of node: the next step, and a hop
+                delta = (_when_millis(flat[i].when) - _when_millis(flat[i - 1].when)) / 1000.0
+                edge_deltas.setdefault((seq[-1], keys[i]), []).append(delta)
+                seq.append(keys[i])
+        sequences.append((tuple(seq), _when_millis(flat[start].when)))
 
     edges = tuple(
         TrailEdge(u, v, None, statistics.median(deltas))
@@ -433,21 +425,17 @@ def recommended_order(
     return tuple(found)
 
 
-def _where_key(w: Where) -> bytes:
-    # canonical bytes double as a stable sort key and an equality surrogate
-    return serialize_where(w)
-
-
 def routes_through(
     trail: IntentionalTrail,
     start: Where,
     end: Where,
     connectivity: set[Path] | frozenset[Path] | tuple[Path, ...],
 ) -> list[Route]:
-    """Every simple route from start to end over the given paths, shortest
-    first, deterministically ordered."""
-    member_keys = {_where_key(n.where) for n in trail.nodes}
-    start_key, end_key = _where_key(start), _where_key(end)
+    """Every simple route from start to end over the given paths (a path
+    given twice counts once), shortest first, deterministically ordered."""
+    # canonical bytes double as a stable sort key and an equality surrogate
+    member_keys = {serialize_where(n.where) for n in trail.nodes}
+    start_key, end_key = serialize_where(start), serialize_where(end)
     if start_key not in member_keys:
         raise UnknownEndpoint("start is not a node of the trail")
     if end_key not in member_keys:
@@ -456,8 +444,8 @@ def routes_through(
         raise TooLarge(f"route search capped at {_SEARCH_CAP} nodes")
 
     outgoing: dict[bytes, list[tuple[bytes, Path]]] = {}
-    for p in connectivity:
-        fk, tk = _where_key(p.from_where), _where_key(p.to_where)
+    for p in set(connectivity):  # a repeated path would interleave copies of its routes
+        fk, tk = serialize_where(p.from_where), serialize_where(p.to_where)
         if fk in member_keys and tk in member_keys:
             outgoing.setdefault(fk, []).append((tk, p))
     for options in outgoing.values():

@@ -172,11 +172,12 @@ class ValidationReport:
 # (the reader gets every child left).  Each child is read as the walk
 # reaches it, so breaches come in document order, and every child is read
 # even after one fails, so validation sees them all.  A breach is reported
-# where it is found; a reader that cannot build its value returns _BAD, and
-# so does the walk of an element any of whose particles failed, so a reader
-# tests its walk once, never each value.  A path is the root's string, or a
-# (parent path, local name, index) tuple, index 0 meaning not indexed; it
-# is spelled out only when a breach or a warning is reported.
+# where it is found, by ctx.fail, which returns _BAD; a reader that cannot
+# build its value returns _BAD, and so does the walk of an element any of
+# whose particles failed, so a reader tests its walk once, never each
+# value.  A path is the root's string, or a (parent path, local name,
+# index) tuple, index 0 meaning not indexed, spelled out only when a
+# breach or a warning is reported.
 
 _BAD = object()  # subtree failed; distinct from None, which is a legal value
 # expat refuses a "}" in a namespace name, so a tag starts with _QUALIFIER
@@ -206,6 +207,7 @@ class _Ctx:
         if self.strict:
             raise SchemaViolation(_spell(path), rule, detail)
         self.violations.append(Violation(_spell(path), rule, detail))
+        return _BAD
 
     def warn(self, path, message: str):
         if not self.strict:  # nothing reads a strict parse's warnings
@@ -339,9 +341,9 @@ def _read_text(ctx: _Ctx, el: ET.Element, path) -> str:
     return el.text or ""
 
 
-def _number(kind=None, what=""):
+def _number(kind=None):
     """A reader of doubles; given a ScalarKind, of numbers in its closed
-    interval, integers if it is integral, `what` naming them in breaches."""
+    interval, integers if it is integral, named in breaches by element."""
     lo, hi = (None, None) if kind is None else kind.bounds
     integral = kind is not None and kind.integral
     lexical, noun = ("integer", "an integer") if integral else ("double", "a double")
@@ -358,16 +360,14 @@ def _number(kind=None, what=""):
             except ValueError:
                 pass
         if v is None:
-            ctx.fail(path, lexical, f"not {noun}: {text!r}")
-        elif lo is None or lo <= v <= hi:
+            return ctx.fail(path, lexical, f"not {noun}: {text!r}")
+        if lo is None or lo <= v <= hi:
             return v
-        elif v != v:  # NaN has no place in a closed interval
-            ctx.fail(path, "double", f"{what} is NaN")
-        elif v < lo:
-            ctx.fail(path, "minInclusive", f"{what} {v!r} violates minInclusive={lo}")
-        else:
-            ctx.fail(path, "maxInclusive", f"{what} {v!r} violates maxInclusive={hi}")
-        return _BAD
+        if v != v:  # NaN has no place in a closed interval
+            return ctx.fail(path, "double", f"{path[1]} is NaN")
+        if v < lo:
+            return ctx.fail(path, "minInclusive", f"{path[1]} {v!r} violates minInclusive={lo}")
+        return ctx.fail(path, "maxInclusive", f"{path[1]} {v!r} violates maxInclusive={hi}")
 
     return read
 
@@ -380,8 +380,7 @@ def _read_datetime(ctx: _Ctx, el: ET.Element, path):
     try:
         millis, zoned = lex_datetime(text)
     except ValueError as e:
-        ctx.fail(path, "dateTime", str(e))
-        return _BAD
+        return ctx.fail(path, "dateTime", str(e))
     if not zoned:
         ctx.warn(path, "zone-less timestamp read as UTC")
     return Time(millis)
@@ -392,8 +391,7 @@ def _read_time_of_day(ctx: _Ctx, el: ET.Element, path):
     try:
         return TimeOfDay.from_lexical(text)
     except ValueError as e:
-        ctx.fail(path, "time", str(e))
-        return _BAD
+        return ctx.fail(path, "time", str(e))
 
 
 def _read_boolean(ctx: _Ctx, el: ET.Element, path):
@@ -402,15 +400,13 @@ def _read_boolean(ctx: _Ctx, el: ET.Element, path):
         return True
     if text in ("false", "0"):
         return False
-    ctx.fail(path, "boolean", f"not a boolean: {text!r}")
-    return _BAD
+    return ctx.fail(path, "boolean", f"not a boolean: {text!r}")
 
 
 def _read_email(ctx: _Ctx, el: ET.Element, path):
     value = el.text or ""
     if _EMAIL_RE.fullmatch(value) is None:
-        ctx.fail(path, "pattern", f"email {value!r} lacks '@' or a domain dot")
-        return _BAD
+        return ctx.fail(path, "pattern", f"email {value!r} lacks '@' or a domain dot")
     return value
 
 
@@ -423,8 +419,8 @@ _QUANTITIES = {
 }
 
 
-def _read_quantity(ctx: _Ctx, el: ET.Element, path, local: str):
-    cls, default_unit, non_negative, what = _QUANTITIES[local]
+def _read_quantity(ctx: _Ctx, el: ET.Element, path):
+    cls, default_unit, non_negative, what = _QUANTITIES[path[1]]
     ok = _attrs_ok(ctx, el, path, allowed=("unit",))
     v = _read_double(ctx, el, path)
     raw_unit = el.get("unit")
@@ -443,8 +439,7 @@ def _read_quantity(ctx: _Ctx, el: ET.Element, path, local: str):
     if v is _BAD or not ok:
         return _BAD
     if non_negative and not v >= 0:
-        ctx.fail(path, "minInclusive", f"{what} {v!r} violates minInclusive=0")
-        return _BAD
+        return ctx.fail(path, "minInclusive", f"{what} {v!r} violates minInclusive=0")
     return cls(v, unit)
 
 
@@ -507,20 +502,16 @@ _ID_KINDS = {kind.value: kind for kind in IdKind}
 def _read_id(ctx: _Ctx, el: ET.Element, path):
     kids = _children(ctx, el, path)
     if not kids:
-        ctx.fail(path, "choice", "ID needs one of bitString|GUID|phone|email")
-        return _BAD
+        return ctx.fail(path, "choice", "ID needs one of bitString|GUID|phone|email")
     local = _local(kids[0].tag)
     if local not in _ID_KINDS:
-        ctx.fail((path, local, 0), "choice", "not an ID form")
-        return _BAD
+        return ctx.fail((path, local, 0), "choice", "not an ID form")
     child = _named(ctx, kids[0], path, local)
     if len(kids) > 1:
-        ctx.fail((path, _local(kids[1].tag), 0), "choice", "ID carries multiple forms")
-        return _BAD
+        return ctx.fail((path, _local(kids[1].tag), 0), "choice", "ID carries multiple forms")
     value = kids[0].text or ""
     if local == "phone" and _PHONE_RE.fullmatch(value) is None:
-        ctx.fail(child, "pattern", f"phone {value!r} must be '+' then digits/spaces")
-        return _BAD
+        return ctx.fail(child, "pattern", f"phone {value!r} must be '+' then digits/spaces")
     if local == "email" and _read_email(ctx, kids[0], child) is _BAD:
         return _BAD
     return Id(_ID_KINDS[local], value)
@@ -540,8 +531,8 @@ def _compound(make, *particles):
 
 _read_latlong = _compound(
     LatLongCoordinate,
-    ("latitude", "1", _number(_LATITUDE, "latitude")),
-    ("longitude", "1", _number(_LONGITUDE, "longitude")),
+    ("latitude", "1", _number(_LATITUDE)),
+    ("longitude", "1", _number(_LONGITUDE)),
 )
 _read_coordinate = _compound(lambda coordinate: coordinate, ("latLongCoordinate", "?", _read_latlong))
 _read_physical = _compound(PhysicalLocation, ("coordinate", "?", _read_coordinate))
@@ -550,7 +541,7 @@ _BOUNDS_FORMS = {
     "circularBounds": _compound(
         CircularBounds,
         ("centre", "1", _read_physical),
-        ("radius", "1", lambda ctx, el, p: _read_quantity(ctx, el, p, "radius")),
+        ("radius", "1", _read_quantity),
     ),
     "rectangularBounds": _compound(
         RectangularBounds,
@@ -566,13 +557,11 @@ def _one_of(ctx: _Ctx, kids: list, path, forms: dict, what: str):
     local = _local(kids[0].tag)
     reader = forms.get(local)
     if reader is None:
-        ctx.fail((path, local, 0), "choice", f"not a {what}")
-        result = _BAD
+        result = ctx.fail((path, local, 0), "choice", f"not a {what}")
     else:
         result = reader(ctx, kids[0], _named(ctx, kids[0], path, local))
     if len(kids) > 1:
-        ctx.fail((path, _local(kids[1].tag), 0), "choice", f"multiple {what}s")
-        return _BAD
+        return ctx.fail((path, _local(kids[1].tag), 0), "choice", f"multiple {what}s")
     return result
 
 
@@ -600,8 +589,7 @@ _CLASSIFICATION = _grammar(("classificationType", "*", _read_text))
 def _read_classification(ctx: _Ctx, el: ET.Element, path):
     (types,) = _walk(ctx, el, path, _CLASSIFICATION)  # a run of text never fails
     if not types:
-        ctx.fail((path, "classificationType", 0), "minOccurs", "at least one type required")
-        return _BAD
+        return ctx.fail((path, "classificationType", 0), "minOccurs", "at least one type required")
     return Classification(tuple(types))
 
 
@@ -646,14 +634,19 @@ _read_classified = _compound(
 )
 
 
-def _read_symbolic(ctx: _Ctx, el: ET.Element, path):
+def _deeper(ctx: _Ctx, el: ET.Element, path, grammar, exact=False):
+    """_walk one symbolic location or locale deeper, or _BAD past _NESTING_CAP."""
     depth = ctx.depth
     if depth >= _NESTING_CAP:
-        ctx.fail("/", "depth", "document nesting too deep")
-        return _BAD
+        return ctx.fail("/", "depth", "document nesting too deep")
     ctx.depth = depth + 1
-    values = _walk(ctx, el, path, _SYMBOLIC)
+    values = _walk(ctx, el, path, grammar, exact)
     ctx.depth = depth
+    return values
+
+
+def _read_symbolic(ctx: _Ctx, el: ET.Element, path):
+    values = _deeper(ctx, el, path, _SYMBOLIC)
     if values is _BAD:
         return _BAD
     subtype, information, region, locales, fixed = values
@@ -661,17 +654,11 @@ def _read_symbolic(ctx: _Ctx, el: ET.Element, path):
 
 
 def _read_locale(ctx: _Ctx, el: ET.Element, path):
-    depth = ctx.depth
-    if depth >= _NESTING_CAP:
-        ctx.fail("/", "depth", "document nesting too deep")
-        return _BAD
-    if depth == _LOCALE_DEPTH_BOUND:
+    if ctx.depth == _LOCALE_DEPTH_BOUND:
         ctx.warn(path, f"locale nesting deeper than {_LOCALE_DEPTH_BOUND}")
-    ctx.depth = depth + 1
     # exact matching: a same-name element outside the namespace falls
     # through to the extensions instead of being a violation
-    values = _walk(ctx, el, path, _LOCALE, exact=True)
-    ctx.depth = depth
+    values = _deeper(ctx, el, path, _LOCALE, exact=True)
     if values is _BAD:
         return _BAD
     parent, classifications, contents, neighbours, extensions = values
@@ -725,11 +712,11 @@ def _read_where(ctx: _Ctx, el: ET.Element, path):
 
 # (local name, keyword on Observation, reader), in schema order
 _OBS_OPTIONAL = (
-    ("altitude", "altitude", lambda ctx, el, p: _read_quantity(ctx, el, p, "altitude")),
-    ("speed", "speed", lambda ctx, el, p: _read_quantity(ctx, el, p, "speed")),
-    ("course", "course", _number(_BEARING, "course")),
-    ("magneticVariation", "magnetic_variation", _number(_BEARING, "magneticVariation")),
-    ("satellitesVisible", "satellites_visible", _number(_SAT_COUNT, "satellitesVisible")),
+    ("altitude", "altitude", _read_quantity),
+    ("speed", "speed", _read_quantity),
+    ("course", "course", _number(_BEARING)),
+    ("magneticVariation", "magnetic_variation", _number(_BEARING)),
+    ("satellitesVisible", "satellites_visible", _number(_SAT_COUNT)),
     ("PDOP", "pdop", _read_double),
     ("HDOP", "hdop", _read_double),
     ("VDOP", "vdop", _read_double),
@@ -762,14 +749,14 @@ _read_event = _compound(
 def _document_root(ctx: _Ctx, document):
     """The root element of a document, text or bytes; if it is not
     well-formed, NotWellFormed parsing, or reported and _BAD validating.
-    Text is read as already decoded, whatever encoding it declares."""
+    Text is read as already decoded, whatever encoding it declares.  An
+    encoding expat cannot use, or text it cannot encode, is not well-formed."""
     try:
         return ET.fromstring(document if isinstance(document, str) else bytes(document))
-    except ET.ParseError as e:
+    except (ET.ParseError, LookupError, ValueError) as e:
         if ctx.strict:
             raise NotWellFormed(str(e)) from None
-        ctx.fail("/", "well-formed", str(e))
-        return _BAD
+        return ctx.fail("/", "well-formed", str(e))
 
 
 def _read_document(ctx: _Ctx, document):
@@ -778,8 +765,7 @@ def _read_document(ctx: _Ctx, document):
         return _BAD
     local = _local(root.tag)
     if local != "locationEvent":
-        ctx.fail("/", "unexpected", f"root is {local!r}, expected locationEvent")
-        return _BAD
+        return ctx.fail("/", "unexpected", f"root is {local!r}, expected locationEvent")
     if not root.tag.startswith(_QUALIFIER):
         ctx.fail("/locationEvent", "namespace", f"root element not in {NS}")
     return _read_event(ctx, root, "/locationEvent")

@@ -46,6 +46,19 @@ class TestValidate:
         assert main(["validate", str(tmp_path / "absent.xml")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_encoding_is_invalid_not_a_traceback(self, tmp_path):
+        bogus = tmp_path / "bogus.xml"
+        bogus.write_bytes(b'<?xml version="1.0" encoding="bogus"?><locationEvent/>')
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "gloss.cli", "validate", str(bogus)],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert done.returncode == 1
+        assert done.stdout.splitlines() == ["/: well-formed unknown encoding: bogus", "invalid (1 violation(s))"]
+        assert "Traceback" not in done.stdout + done.stderr
+
 
 class TestConvert:
     def test_canonical_stdout(self, corpus_file, capsys):

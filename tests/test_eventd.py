@@ -240,6 +240,23 @@ class TestIngest:
         with pytest.raises(UnknownSubject):
             store.query_last(Id(IdKind.BIT_STRING, "+44 1"))
 
+    def test_ids_with_one_value_stay_apart_by_kind(self):
+        store = EventStore(clock=_tick())
+        bits, guid = Id(IdKind.BIT_STRING, "x"), Id(IdKind.GUID, "x")
+        assert hash(bits) == hash(guid)
+        store.ingest(_doc(0, 1, 1, bits))
+        store.ingest(_doc(1, 2, 2, guid))
+        store.ingest(_doc(2, 3, 3, bits))
+        assert store.subjects() == (bits, guid)
+        assert store.query_last(guid).where.payload.coordinate.latitude == 2
+        assert store.query_last(bits).where.payload.coordinate.latitude == 3
+        for subject, millis in ((bits, [0, 2000]), (guid, [1000])):
+            times = [Time(ms) for ms in millis]
+            assert [o.time_of_observation for o in store.observations(subject)] == times
+            trail = store.trail_for(subject)
+            assert trail.subject == subject
+            assert [n.when for n in trail.nodes] == times
+
 
 class TestQueryLast:
     def test_latest_timestamp_wins(self):

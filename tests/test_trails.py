@@ -11,7 +11,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gloss import geo
@@ -691,6 +691,15 @@ class TestRoutesThrough:
             Route((Path(self.W1, self.W2), Path(self.W3, self.W4)))
 
     @given(_route_searches())
+    @example((  # a path given twice in a tuple
+        _ROUTE_PLACES[:3], _ROUTE_PLACES[0], _ROUTE_PLACES[1],
+        (
+            Path(_ROUTE_PLACES[0], _ROUTE_PLACES[2]),
+            Path(_ROUTE_PLACES[0], _ROUTE_PLACES[2]),
+            Path(_ROUTE_PLACES[2], _ROUTE_PLACES[1]),
+            Path(_ROUTE_PLACES[2], _ROUTE_PLACES[1], ModeTransport.FOOT),
+        ),
+    ))
     @settings(max_examples=300, deadline=None)
     def test_order_matches_the_full_hop_key_sort(self, search):
         places, start, end, connectivity = search
@@ -699,6 +708,7 @@ class TestRoutesThrough:
         # the walk did not change and the sort is stable, so sorting its
         # routes by the full key gives the list the full-key sort returned
         assert got == _sorted_by_hop_keys(got)
+        assert len(set(got)) == len(got)  # a path given twice counts once
 
 
 _NOTES = (

@@ -529,6 +529,28 @@ class TestTextInput:
         assert read(text) == from_bytes
 
 
+class TestInputGate:
+    # an encoding Python does not know, one expat cannot use, and text that cannot be encoded
+    @pytest.mark.parametrize(
+        "document",
+        [
+            pytest.param(b'<?xml version="1.0" encoding="bogus"?><locationEvent/>', id="unknown-encoding"),
+            pytest.param(b'<?xml version="1.0" encoding="shift_jis"?><locationEvent/>', id="multi-byte-encoding"),
+            pytest.param("<locationEvent>\ud800</locationEvent>", id="lone-surrogate"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "read", [parse_location_event, parse_where, validate_document], ids=lambda read: read.__name__
+    )
+    def test_undecodable_input_is_not_well_formed(self, document, read):
+        if read is validate_document:
+            violations = validate_document(document).violations
+            assert [(v.path, v.rule) for v in violations] == [("/", "well-formed")]
+        else:
+            with pytest.raises(NotWellFormed):
+                read(document)
+
+
 class TestLaxCollection:
     def test_multiple_violations_collected(self, corpus_documents):
         text = corpus_documents["gps-fix-phone.xml"].decode("latin-1")
@@ -735,6 +757,16 @@ class TestNestingCap:
 
         where = parse_location_event(document).observations[0].where
         assert _from_depth(500, read_write_ingest) == where
+
+    @pytest.mark.parametrize("levels", [32, 33])
+    def test_locale_nesting_warns_past_32(self, levels):
+        document = _nested(levels)
+        report = validate_document(document)
+        assert report.ok
+        locale_warnings = [w for w in report.warnings if "zone-less" not in w]
+        path = "/locationEvent/observation[1]/where/locale" + "/parent" * 32
+        assert locale_warnings == ([] if levels == 32 else [f"{path}: locale nesting deeper than 32"])
+        parse_location_event(document)
 
     def test_extension_fragments_read_the_same_from_a_deep_caller(self):
         # foreign elements are not capped: 300 of them nest inside one locale
