@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 import re
+import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import EmptyWhere, NotInteger, OutOfRange, PatternMismatch, Unresolvable
+from .errors import EmptyWhere, NotInteger, NotWellFormed, OutOfRange, PatternMismatch
+from .errors import SchemaViolation, Unresolvable
 from .temporal import TimeOfDay
 
 __all__ = [
@@ -346,8 +348,11 @@ class SymbolicLocation:
 class Locale:
     """A logical grouping of symbolic locations.
 
-    Immutable construction makes parent chains finite by construction;
-    ``extensions`` carries foreign wire content verbatim.
+    Immutable construction makes parent chains finite by construction.
+    Each of ``extensions``, text or a parsed element, is held as _foreign
+    writes it with its own namespaces, so spellings of one fragment are
+    equal.  Broken text raises NotWellFormed; an element in no namespace,
+    which a canonical document reads as a wire element, SchemaViolation.
     """
 
     parent: Optional["Locale"] = None
@@ -355,6 +360,18 @@ class Locale:
     contents: tuple[SymbolicLocation, ...] = ()
     neighbours: tuple["Locale", ...] = ()
     extensions: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        held = []
+        for ext in self.extensions:
+            if isinstance(ext, str):
+                try:
+                    ext = ET.fromstring(ext)
+                except (ET.ParseError, ValueError) as e:
+                    raise NotWellFormed(f"locale extension fragment: {e}") from None
+            ns: dict = {}  # _foreign fills it before _qualified reads it
+            held.append(_declare(ns, _foreign(ext, ns), 1 + len(_qualified(ext.tag, ns))))
+        object.__setattr__(self, "extensions", tuple(held))
 
 
 WherePayload = Union[SymbolicLocation, PhysicalLocation, Region, Locale, None]
@@ -370,6 +387,78 @@ class Where:
     payload: WherePayload = None
     name: Optional[str] = None
     gloss_urn: Optional[str] = None
+
+
+# ---------------------------------------------------------------------------
+# Canonical text, shared with the wire writer (see its notes on `ns`).
+# ElementTree's built-in prefixes are frozen, so that register_namespace
+# elsewhere in the process cannot change canonical bytes.
+_PREFIXES = {
+    "http://www.w3.org/XML/1998/namespace": "xml",
+    "http://www.w3.org/1999/xhtml": "html",
+    "http://www.w3.org/1999/02/22-rdf-syntax-ns#": "rdf",
+    "http://schemas.xmlsoap.org/wsdl/": "wsdl",
+    "http://www.w3.org/2001/XMLSchema": "xs",
+    "http://www.w3.org/2001/XMLSchema-instance": "xsi",
+    "http://purl.org/dc/elements/1.1/": "dc",
+}
+_TEXT = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"))
+_ATTR = _TEXT + (('"', "&quot;"), ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;"))
+
+
+def _escape(s: str, escapes=_TEXT) -> str:
+    for char, reference in escapes:
+        if char in s:
+            s = s.replace(char, reference)
+    return s
+
+
+def _qualified(name: str, ns: dict) -> str:
+    """`prefix:local` for a `{uri}local` name; other names pass unchanged."""
+    if name[:1] != "{":
+        return name
+    uri, local = name[1:].rsplit("}", 1)
+    prefix = ns.get(uri)
+    if prefix is None:
+        prefix = _PREFIXES.get(uri) or f"ns{len(ns)}"
+        if prefix != "xml":  # bound by XML itself, never declared
+            ns[uri] = prefix
+    return f"{prefix}:{local}"
+
+
+def _declare(ns: dict, written: str, cut: int) -> str:
+    """`written` with the declarations of `ns` after the root's name, at `cut`."""
+    if not ns:
+        return written
+    decls = sorted(ns.items(), key=lambda item: item[1])
+    declared = "".join(f' xmlns:{p}="{_escape(uri, _ATTR)}"' for uri, p in decls)
+    return written[:cut] + declared + written[cut:]
+
+
+def _foreign(root: ET.Element, ns: dict) -> str:
+    """An extension fragment's element, without its tail.  Written from an
+    explicit stack, so any depth reads the same from any caller; names
+    still get their prefixes in document order, tag before attributes;
+    an element in no namespace raises SchemaViolation."""
+    parts = []
+    stack = [root]  # elements still to write, and strings: closing tags and tails
+    while stack:
+        el = stack.pop()
+        if isinstance(el, str):
+            parts.append(el)
+            continue
+        if el.tag[:1] != "{":
+            raise SchemaViolation(el.tag, "namespace", "extension element in no namespace")
+        tag = _qualified(el.tag, ns)
+        attrs = "".join([f' {_qualified(k, ns)}="{_escape(v, _ATTR)}"' for k, v in el.items()])
+        if not el.text and not len(el):
+            parts.append(f"<{tag}{attrs} />")
+            continue
+        parts.append(f"<{tag}{attrs}>{_escape(el.text or '')}")
+        stack.append(f"</{tag}>")
+        for kid in reversed(el):
+            stack += (_escape(kid.tail or ""), kid)
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ its own, written directly as strings by ElementTree's rules, frozen:
 - text escapes & < >; attribute values also " CR LF TAB (`&#10;` for LF);
 - doubles are repr() less a trailing ".0"; dateTime years have 4 digits;
 - a unit attribute is omitted when it is the default (M, m, knots);
-- locale extension fragments are re-read and written with every namespace
-  declared on the root, sorted by prefix as strings (ns10 before ns2).  A
-  namespace takes a well-known prefix (xsi, xs, dc, ...) or else
-  `ns{namespaces declared so far}`, in document order, tag before
-  attribute names; xml is never declared.
+- a locale extension fragment, held as model.Locale writes it, is
+  re-read and written with every namespace declared on the root, sorted by
+  prefix as strings (ns10 before ns2).  A namespace takes a well-known
+  prefix (xsi, xs, dc, ...) or else `ns{namespaces declared so far}`, in
+  document order, tag before attribute names; xml is never declared.
 Round-trip equality is therefore defined on the model, not on the bytes.
 """
 
@@ -61,6 +61,7 @@ from .model import (
     _LONGITUDE,
     _PHONE_RE,
     _SAT_COUNT,
+    _ATTR, _declare, _escape, _foreign,  # canonical text, shared with Locale
 )
 from .temporal import Time, TimeOfDay, lex_datetime
 
@@ -665,15 +666,16 @@ def _read_locale(ctx: _Ctx, el: ET.Element, path):
     return Locale(parent, tuple(classifications), tuple(contents), tuple(neighbours), extensions)
 
 
-def _read_extensions(ctx: _Ctx, kids: list, path) -> tuple[str, ...]:
-    """Each child left as a fragment string, written as serializing writes
-    it but declaring its own namespaces."""
-    fragments = []
-    for ext in kids:
-        ns: dict = {}
-        written = _foreign(ext, ns)
-        fragments.append(_declare(ns, written, 1 + len(_qualified(ext.tag, ns))))
-    return tuple(fragments)
+def _read_extensions(ctx: _Ctx, kids: list, path):
+    """The children left, for Locale to hold, or _BAD if one holds an element
+    in no namespace, which a canonical document reads as a wire element."""
+    bad = None
+    for kid in kids:
+        for el in kid.iter():
+            if el.tag[:1] != "{":
+                detail = f"element {el.tag!r} in no namespace"
+                bad = ctx.fail((path, _local(kid.tag), 0), "namespace", detail)
+    return bad or tuple(kids)
 
 
 _SYMBOLIC = _grammar(
@@ -789,13 +791,11 @@ def validate_document(document) -> ValidationReport:
 
 
 def _qualify(root: ET.Element):
-    """Push namespace-less fragment tags into the wire namespace."""
-    stack = [root]
-    while stack:
-        el = stack.pop()
+    """Push namespace-less tags into the wire namespace, as if the fragment
+    declared it as its default."""
+    for el in root.iter():
         if not el.tag.startswith("{"):
             el.tag = _QUALIFIER + el.tag
-            stack.extend(el)
 
 
 def parse_where(fragment) -> Where:
@@ -824,19 +824,6 @@ def parse_where(fragment) -> Where:
 # maps each foreign namespace written so far to its prefix; the
 # declarations go on the root once the whole document is written.
 
-# ElementTree's built-in prefixes, frozen so that register_namespace
-# elsewhere in the process cannot change canonical bytes
-_PREFIXES = {
-    "http://www.w3.org/XML/1998/namespace": "xml",
-    "http://www.w3.org/1999/xhtml": "html",
-    "http://www.w3.org/1999/02/22-rdf-syntax-ns#": "rdf",
-    "http://schemas.xmlsoap.org/wsdl/": "wsdl",
-    "http://www.w3.org/2001/XMLSchema": "xs",
-    "http://www.w3.org/2001/XMLSchema-instance": "xsi",
-    "http://purl.org/dc/elements/1.1/": "dc",
-}
-_TEXT = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"))
-_ATTR = _TEXT + (('"', "&quot;"), ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;"))
 _XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>\n'
 _NS_ATTR = f' xmlns="{NS}"'
 
@@ -844,13 +831,6 @@ _NS_ATTR = f' xmlns="{NS}"'
 def _fmt_double(v: float) -> str:
     s = repr(float(v))
     return s[:-2] if s.endswith(".0") else s
-
-
-def _escape(s: str, escapes=_TEXT) -> str:
-    for char, reference in escapes:
-        if char in s:
-            s = s.replace(char, reference)
-    return s
 
 
 def _el(tag: str, content: str) -> str:
@@ -863,51 +843,6 @@ def _leaf(tag: str, text: Optional[str]) -> str:
 
 def _leaves(tag: str, texts) -> str:
     return "".join([_leaf(tag, text) for text in texts])
-
-
-def _qualified(name: str, ns: dict) -> str:
-    """`prefix:local` for a `{uri}local` name; other names pass unchanged."""
-    if name[:1] != "{":
-        return name
-    uri, local = name[1:].rsplit("}", 1)
-    prefix = ns.get(uri)
-    if prefix is None:
-        prefix = _PREFIXES.get(uri) or f"ns{len(ns)}"
-        if prefix != "xml":  # bound by XML itself, never declared
-            ns[uri] = prefix
-    return f"{prefix}:{local}"
-
-
-def _declare(ns: dict, written: str, cut: int) -> str:
-    """`written` with the declarations of `ns` after the root's name, at `cut`."""
-    if not ns:
-        return written
-    decls = sorted(ns.items(), key=lambda item: item[1])
-    declared = "".join(f' xmlns:{p}="{_escape(uri, _ATTR)}"' for uri, p in decls)
-    return written[:cut] + declared + written[cut:]
-
-
-def _foreign(root: ET.Element, ns: dict) -> str:
-    """An extension fragment's element, without its tail.  Written from an
-    explicit stack, so any depth reads the same from any caller; names
-    still get their prefixes in document order, tag before attributes."""
-    parts = []
-    stack = [root]  # elements still to write, and strings: closing tags and tails
-    while stack:
-        el = stack.pop()
-        if isinstance(el, str):
-            parts.append(el)
-            continue
-        tag = _qualified(el.tag, ns)
-        attrs = "".join([f' {_qualified(k, ns)}="{_escape(v, _ATTR)}"' for k, v in el.items()])
-        if not el.text and not len(el):
-            parts.append(f"<{tag}{attrs} />")
-            continue
-        parts.append(f"<{tag}{attrs}>{_escape(el.text or '')}")
-        stack.append(f"</{tag}>")
-        for kid in reversed(el):
-            stack += (_escape(kid.tail or ""), kid)
-    return "".join(parts)
 
 
 def _quantity(tag: str, q) -> str:
@@ -982,11 +917,7 @@ def _locale(ns: dict, tag: str, loc: Locale) -> str:
     parts.append(_classifications(loc.classifications))
     parts += [_symbolic(ns, "contents", s) for s in loc.contents]
     parts += [_locale(ns, "neighbours", n) for n in loc.neighbours]
-    for frag in loc.extensions:
-        try:
-            parts.append(_foreign(ET.fromstring(frag), ns))
-        except ET.ParseError as e:
-            raise NotWellFormed(f"locale extension fragment: {e}") from None
+    parts += [_foreign(ET.fromstring(frag), ns) for frag in loc.extensions]
     return _el(tag, "".join(parts))
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from typing import Optional
 
-from gloss.errors import NotWellFormed
 from gloss.model import (
     Address,
     AddressLocation,
@@ -35,11 +34,23 @@ from gloss.model import (
     SymbolicLocation,
     Where,
 )
-from gloss.wire import _ADDRESS_FIELDS, NS, LocationEvent, Observation
+from gloss.wire import NS, LocationEvent, Observation
+
+# (local name, Address attribute) in schema order, kept apart from the
+# reader's table so that a field dropped there shows here
+_ADDRESS_FIELDS = (
+    ("nameNumber", "name_number"),
+    ("street", "street"),
+    ("town", "town"),
+    ("county", "county"),
+    ("postCode", "post_code"),
+    ("webAddress", "web_address"),
+    ("email", "email"),
+)
 
 
 def read_extension(ext: ET.Element) -> str:
-    """How the reader captured a locale extension fragment."""
+    """How a Locale holds a locale extension fragment."""
     ext.tail = None
     return ET.tostring(ext, encoding="unicode")
 
@@ -104,7 +115,7 @@ def _write_classification(parent: ET.Element, c: Classification):
 
 def _write_address(parent: ET.Element, a: Address):
     el = _sub(parent, "address")
-    for local, attr, _ in _ADDRESS_FIELDS:
+    for local, attr in _ADDRESS_FIELDS:
         value = getattr(a, attr)
         if value is not None:
             _sub(el, local, value)
@@ -150,10 +161,7 @@ def _write_locale(parent: ET.Element, tag: str, loc: Locale):
     for n in loc.neighbours:
         _write_locale(el, "neighbours", n)
     for frag in loc.extensions:
-        try:
-            el.append(ET.fromstring(frag))
-        except ET.ParseError as e:
-            raise NotWellFormed(f"locale extension fragment: {e}") from None
+        el.append(ET.fromstring(frag))
 
 
 def _fill_where(el: ET.Element, w: Where):

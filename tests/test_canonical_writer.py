@@ -1,18 +1,24 @@
-"""The direct string writer against the ElementTree writer it replaced.
+"""The direct string writer against the ElementTree writer it replaced,
+and the identities canonical bytes stand for.
 
 `et_writer` keeps the old writer, which built a tree and called
 `ET.tostring`.  Canonical bytes must not change, so every model the
 strategies below can build must serialize to exactly the oracle's bytes,
-for whole events and for standalone `<where>` fragments, and locale
-extension fragments must be captured on reading exactly as before.
+for whole events and for standalone `<where>` fragments, and a `Locale`
+must hold each extension fragment exactly as the old reader captured it.
+An event the wire can carry reads back equal after one trip, and every
+spelling of one fragment makes one place.
 """
 
+import copy
 import xml.etree.ElementTree as ET
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import et_writer
+from gloss.errors import NotWellFormed, SchemaViolation
 from gloss.model import (
     Address,
     AddressLocation,
@@ -45,7 +51,6 @@ from gloss.wire import (
     LocationEvent,
     Observation,
     ProcessingStep,
-    _read_extensions,
     parse_location_event,
     serialize_location_event,
     serialize_where,
@@ -65,7 +70,15 @@ _texts = st.text(
     ),
     max_size=8,
 )
-_optional_texts = st.none() | _texts
+# the characters of XML 1.0 but CR, which a parser reads back as LF
+_wire_texts = st.text(
+    st.one_of(
+        st.sampled_from("&<>\"'\n\t "),
+        st.characters(min_codepoint=0x20, blacklist_categories=("Cs",),
+                      blacklist_characters="\ufffe\uffff"),
+    ),
+    max_size=8,
+)
 _doubles = st.floats(allow_nan=False, allow_infinity=False)
 _non_negative = st.floats(min_value=0.0, allow_infinity=False)
 _bearings = st.floats(min_value=0.0, max_value=360.0)
@@ -80,55 +93,16 @@ _coordinates = st.builds(
     st.floats(min_value=-180.0, max_value=180.0),
 )
 _physical = st.builds(PhysicalLocation, st.none() | _coordinates)
-_bounds = st.one_of(
-    st.none(),
-    st.builds(Horizon, _texts),
-    st.builds(
-        CircularBounds,
-        _physical,
-        st.builds(Distance, _non_negative, st.sampled_from(DistanceUnit)),
-    ),
-    st.builds(RectangularBounds, _physical, _physical),
-)
-_regions = st.builds(Region, _physical, _bounds)
-_classifications = st.builds(
-    Classification, st.lists(_texts, min_size=1, max_size=3).map(tuple)
-)
 _emails = st.from_regex(r"[a-z&<>'\"]{1,3}@[a-z]{1,3}\.[a-z&<]{1,3}", fullmatch=True)
-_addresses = st.builds(
-    Address,
-    name_number=_optional_texts,
-    street=_optional_texts,
-    town=_optional_texts,
-    county=_optional_texts,
-    post_code=_optional_texts,
-    web_address=_optional_texts,
-    email=st.none() | _emails,
-)
-_times_of_day = st.builds(TimeOfDay, st.floats(min_value=0.0, max_value=86_399.999))
 _tuples = lambda strategy: st.lists(strategy, max_size=2).map(tuple)  # noqa: E731
-_subtypes = st.one_of(
-    st.none(),
-    st.builds(Landmark, _texts),
-    st.builds(District, _texts),
-    st.builds(ClassifiedLocation, _tuples(_classifications), _texts),
-    st.builds(AddressLocation, _tuples(_classifications), _texts, _addresses),
-    st.builds(
-        ProductLocation,
-        _tuples(_classifications),
-        _texts,
-        _addresses,
-        _times_of_day,
-        _times_of_day,
-    ),
-)
 
 # extension fragments: tags and attribute names over the foreign
-# namespaces, the well-known xsi and dc prefixes, the xml namespace and no
-# namespace at all
+# namespaces, the well-known xsi and dc prefixes and the xml namespace;
+# attribute names also in no namespace.  An element in no namespace is
+# refused (TestNoNamespace).
 _tags = st.sampled_from(
     [f"{{{ns}}}e{i}" for i, ns in enumerate(_FOREIGN)]
-    + [f"{{{_XSI}}}typed", f"{{{_DC}}}title", f"{{{_XML}}}odd", "plain"]
+    + [f"{{{_XSI}}}typed", f"{{{_DC}}}title", f"{{{_XML}}}odd"]
 )
 _keys = st.sampled_from(
     [f"{{{ns}}}a" for ns in _FOREIGN[:4]]
@@ -159,66 +133,191 @@ def _many_namespaces() -> str:
     return ET.tostring(root, encoding="unicode")
 
 
-_fragments = _elements().map(lambda el: ET.tostring(el, encoding="unicode"))
+def _spelled(root: ET.Element, prefixes: dict, default: bool, redeclare: bool,
+             selfclose: bool, quote: str) -> str:
+    """root written as XML text in one of many spellings that all mean the
+    same: a tag takes its namespace's prefix from `prefixes` or, with
+    `default`, the default namespace; a declaration goes on the first
+    element that needs it or, with `redeclare`, on every one; an empty
+    element is self-closing or not; attribute values take `quote`."""
+    text_refs = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
+    attr_refs = {"&": "&amp;", "<": "&lt;", "\n": "&#10;", "\t": "&#9;",
+                 quote: "&#39;" if quote == "'" else "&quot;"}
+
+    def attr(value):
+        return quote + "".join(attr_refs.get(c, c) for c in value) + quote
+
+    def text(value):
+        return "".join(text_refs.get(c, c) for c in value or "")
+
+    def name(qualified, scope, decls, as_attribute):
+        if qualified[:1] != "{":
+            return qualified
+        uri, local = qualified[1:].split("}")
+        if uri == _XML:
+            return f"xml:{local}"
+        if default and not as_attribute:
+            if redeclare or scope.get("") != uri:
+                decls[""] = uri
+            return local
+        prefix = prefixes[uri]
+        if redeclare or scope.get(prefix) != uri:
+            decls[prefix] = uri
+        return f"{prefix}:{local}"
+
+    def write(el, scope):
+        decls = {}
+        tag = name(el.tag, scope, decls, False)
+        attrs = "".join(f" {name(k, scope, decls, True)}={attr(v)}" for k, v in el.items())
+        declared = "".join(
+            f" xmlns{':' + p if p else ''}={attr(uri)}" for p, uri in decls.items()
+        )
+        inner = {**scope, **decls}
+        body = text(el.text) + "".join(write(kid, inner) + text(kid.tail) for kid in el)
+        if not body and selfclose:
+            return f"<{tag}{declared}{attrs}/>"
+        return f"<{tag}{declared}{attrs}>{body}</{tag}>"
+
+    return write(root, {})
 
 
-def _locales(symbolic):
-    return st.recursive(
-        st.builds(Locale, extensions=_tuples(_fragments)),
-        lambda inner: st.builds(
-            Locale,
-            st.none() | inner,
-            _tuples(_classifications),
-            _tuples(symbolic),
-            _tuples(inner),
-            _tuples(_fragments),
-        ),
-        max_leaves=3,
+@st.composite
+def _spellings(draw, root):
+    names = (q for el in root.iter() for q in (el.tag, *el.keys()) if q[:1] == "{")
+    uris = sorted({q[1:].split("}")[0] for q in names} - {_XML})
+    # prefixes that the canonical form, or another namespace, might also take
+    base = draw(st.sampled_from(("ns", "p", "xsi")))
+    numbers = draw(st.permutations(range(len(uris))))
+    return _spelled(
+        root,
+        {uri: f"{base}{n}" for uri, n in zip(uris, numbers)},
+        default=draw(st.booleans()),
+        redeclare=draw(st.booleans()),
+        selfclose=draw(st.booleans()),
+        quote=draw(st.sampled_from("'\"")),
     )
 
 
-_symbolic_leaf = st.builds(
-    SymbolicLocation,
-    st.builds(Information, _tuples(_texts), _tuples(_texts)),
-    _regions,
-    _subtypes,
-    st.just(()),
-    st.booleans(),
-)
-_symbolic = st.builds(
-    SymbolicLocation,
-    st.builds(Information, _tuples(_texts), _tuples(_texts)),
-    _regions,
-    _subtypes,
-    _tuples(_locales(_symbolic_leaf)),
-    st.booleans(),
-)
-_wheres = st.builds(
-    Where,
-    st.one_of(st.none(), _physical, _regions, _symbolic, _locales(_symbolic_leaf)),
-    _optional_texts,
-    _optional_texts,
-)
-_observations = st.builds(
-    Observation,
-    time_of_observation=_times,
-    where=_wheres,
-    altitude=st.none() | st.builds(Altitude, _doubles, st.sampled_from(AltitudeUnit)),
-    speed=st.none() | st.builds(Speed, _non_negative, st.sampled_from(SpeedUnit)),
-    course=st.none() | _bearings,
-    magnetic_variation=st.none() | _bearings,
-    satellites_visible=st.none() | st.integers(0, 12),
-    pdop=st.none() | st.floats(),
-    hdop=st.none() | _doubles,
-    vdop=st.none() | _doubles,
-    hpe=st.none() | _doubles,
-    vpe=st.none() | _doubles,
-)
-_events = st.builds(
-    LocationEvent,
+# each fragment in one of its spellings
+_fragments = _elements().flatmap(_spellings)
+
+
+def _event_strategy(texts, ids, times_of_day, pdops):
+    """Events whose texts, IDs, product times and PDOPs come from the
+    given strategies; everything else is drawn the same for every caller."""
+    optional_texts = st.none() | texts
+    bounds = st.one_of(
+        st.none(),
+        st.builds(Horizon, texts),
+        st.builds(
+            CircularBounds,
+            _physical,
+            st.builds(Distance, _non_negative, st.sampled_from(DistanceUnit)),
+        ),
+        st.builds(RectangularBounds, _physical, _physical),
+    )
+    regions = st.builds(Region, _physical, bounds)
+    classifications = st.builds(
+        Classification, st.lists(texts, min_size=1, max_size=3).map(tuple)
+    )
+    addresses = st.builds(
+        Address,
+        name_number=optional_texts,
+        street=optional_texts,
+        town=optional_texts,
+        county=optional_texts,
+        post_code=optional_texts,
+        web_address=optional_texts,
+        email=st.none() | _emails,
+    )
+    subtypes = st.one_of(
+        st.none(),
+        st.builds(Landmark, texts),
+        st.builds(District, texts),
+        st.builds(ClassifiedLocation, _tuples(classifications), texts),
+        st.builds(AddressLocation, _tuples(classifications), texts, addresses),
+        st.builds(
+            ProductLocation,
+            _tuples(classifications),
+            texts,
+            addresses,
+            times_of_day,
+            times_of_day,
+        ),
+    )
+
+    def locales(symbolic):
+        return st.recursive(
+            st.builds(Locale, extensions=_tuples(_fragments)),
+            lambda inner: st.builds(
+                Locale,
+                st.none() | inner,
+                _tuples(classifications),
+                _tuples(symbolic),
+                _tuples(inner),
+                _tuples(_fragments),
+            ),
+            max_leaves=3,
+        )
+
+    information = st.builds(Information, _tuples(texts), _tuples(texts))
+    symbolic_leaf = st.builds(
+        SymbolicLocation, information, regions, subtypes, st.just(()), st.booleans()
+    )
+    symbolic = st.builds(
+        SymbolicLocation,
+        information,
+        regions,
+        subtypes,
+        _tuples(locales(symbolic_leaf)),
+        st.booleans(),
+    )
+    wheres = st.builds(
+        Where,
+        st.one_of(st.none(), _physical, regions, symbolic, locales(symbolic_leaf)),
+        optional_texts,
+        optional_texts,
+    )
+    observations = st.builds(
+        Observation,
+        time_of_observation=_times,
+        where=wheres,
+        altitude=st.none() | st.builds(Altitude, _doubles, st.sampled_from(AltitudeUnit)),
+        speed=st.none() | st.builds(Speed, _non_negative, st.sampled_from(SpeedUnit)),
+        course=st.none() | _bearings,
+        magnetic_variation=st.none() | _bearings,
+        satellites_visible=st.none() | st.integers(0, 12),
+        pdop=st.none() | pdops,
+        hdop=st.none() | _doubles,
+        vdop=st.none() | _doubles,
+        hpe=st.none() | _doubles,
+        vpe=st.none() | _doubles,
+    )
+    return st.builds(
+        LocationEvent,
+        ids,
+        _tuples(st.builds(ProcessingStep, _times, texts)),
+        st.lists(observations, min_size=1, max_size=2).map(tuple),
+    )
+
+
+_events = _event_strategy(
+    _texts,
     st.builds(Id, st.sampled_from(IdKind), _texts),
-    _tuples(st.builds(ProcessingStep, _times, _texts)),
-    st.lists(_observations, min_size=1, max_size=2).map(tuple),
+    st.builds(TimeOfDay, st.floats(min_value=0.0, max_value=86_399.999)),
+    st.floats(),
+)
+# Events the wire can carry: texts of XML characters but CR, IDs that match
+# their patterns, times of day in whole milliseconds and no NaN PDOP.
+_carried_events = _event_strategy(
+    _wire_texts,
+    st.one_of(
+        st.builds(Id, st.sampled_from([IdKind.BIT_STRING, IdKind.GUID]), _wire_texts),
+        st.builds(Id, st.just(IdKind.PHONE), st.from_regex(r"\+[0-9 ]*", fullmatch=True)),
+        st.builds(Id, st.just(IdKind.EMAIL), _emails),
+    ),
+    st.integers(0, 86_399_999).map(lambda ms: TimeOfDay(ms / 1000)),
+    st.floats(allow_nan=False),
 )
 
 _MANY = Where(Locale(extensions=(_many_namespaces(), _many_namespaces())), "n&\"\t", "u<\r\n")
@@ -247,7 +346,7 @@ class TestAgainstElementTree:
             assert serialize_where(o.where) == et_writer.serialize_where(o.where)
             for fragment in _extensions(o.where):
                 expected = et_writer.read_extension(ET.fromstring(fragment))
-                assert _read_extensions(None, [ET.fromstring(fragment)], "/") == (expected,)
+                assert Locale(extensions=(ET.fromstring(fragment),)).extensions == (expected,)
 
     def test_prefixes_past_ten_sort_as_strings(self):
         data = serialize_where(_MANY)
@@ -259,16 +358,75 @@ class TestAgainstElementTree:
         assert "xmlns:xml" not in declared
 
 
-class TestProcessState:
-    def test_registered_namespace_changes_nothing(self, monkeypatch):
-        """Canonical bytes and captured extensions do not depend on
-        ElementTree's process-wide prefix table."""
-        event = _MANY_EVENT
-        data = serialize_location_event(event)
-        parsed = parse_location_event(data)
-        monkeypatch.setattr(ET, "_namespace_map", dict(ET._namespace_map))
-        ET.register_namespace("ext", _FOREIGN[0])
-        ET.register_namespace("ext5", _FOREIGN[5])
-        assert serialize_location_event(event) == data
-        assert serialize_location_event(parsed) == data
-        assert parse_location_event(data) == parsed
+class TestRoundTrip:
+    @given(_carried_events)
+    @settings(max_examples=200, deadline=None)
+    @example(_MANY_EVENT)
+    def test_first_trip_gives_the_event(self, event):
+        assert parse_location_event(serialize_location_event(event)) == event
+
+
+def _place(fragment) -> Where:
+    return Where(Locale(extensions=(fragment,)))
+
+
+@st.composite
+def _changed(draw, root):
+    """A copy of root with one text or attribute value changed."""
+    changed = copy.deepcopy(root)
+    el = draw(st.sampled_from(list(changed.iter())))
+    keys = list(el.keys())
+    if keys and draw(st.booleans()):
+        key = draw(st.sampled_from(keys))
+        el.set(key, el.get(key) + "z")
+    else:
+        el.text = (el.text or "") + "z"
+    return changed
+
+
+class TestOneIdentity:
+    def test_three_spellings_make_one_place(self):
+        places = [_place('<e xmlns="urn:x"/>'), _place('<e xmlns="urn:x"></e>'),
+                  _place('<p:e xmlns:p="urn:x"/>')]
+        assert places[0] == places[1] == places[2]
+        assert len({hash(w) for w in places}) == 1
+        assert len({serialize_where(w) for w in places}) == 1
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_spellings_agree_and_changes_do_not(self, data):
+        root = data.draw(_elements())
+        first = _place(data.draw(_spellings(root)))
+        second = _place(data.draw(_spellings(root)))
+        assert first == second
+        assert hash(first) == hash(second)
+        assert serialize_where(first) == serialize_where(second)
+        other = _place(data.draw(_spellings(data.draw(_changed(root)))))
+        assert first != other
+        assert hash(first) != hash(other)
+        assert serialize_where(first) != serialize_where(other)
+
+    def test_broken_text_is_refused_when_built(self):
+        with pytest.raises(NotWellFormed, match="^locale extension fragment: "):
+            Locale(extensions=("<e",))
+
+
+@st.composite
+def _with_a_plain_element(draw):
+    """A fragment with one element, the root or below it, in no namespace."""
+    root = draw(_elements())
+    draw(st.sampled_from(list(root.iter()))).tag = "plain"
+    return root
+
+
+class TestNoNamespace:
+    """The canonical document declares the wire namespace as its default,
+    so an element in no namespace would read back as a wire element."""
+
+    @given(_with_a_plain_element(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_refused_as_text_or_element(self, root, as_text):
+        fragment = ET.tostring(root, encoding="unicode") if as_text else root
+        with pytest.raises(SchemaViolation) as raised:
+            Locale(extensions=(fragment,))
+        assert raised.value.rule == "namespace"

@@ -19,7 +19,6 @@ from gloss.errors import (
     EmptyInput,
     EmptyWhere,
     NoOrderExists,
-    NotWellFormed,
     OutOfOrderObservation,
     TooLarge,
     UnknownEndpoint,
@@ -686,6 +685,15 @@ class TestRoutesThrough:
         with pytest.raises(TooLarge):
             routes_through(trail, wheres[0], wheres[1], set())
 
+    def test_fragment_spellings_are_one_node(self):
+        # two spellings of one fragment: equal places, so the route chains
+        start, end = self.W1, self.W2
+        a = Where(Locale(extensions=('<e xmlns="urn:x"/>',)))
+        b = Where(Locale(extensions=('<e xmlns="urn:x"></e>',)))
+        trail = self._trail_of(start, a, end)
+        (route,) = routes_through(trail, start, end, (Path(start, b), Path(a, end)))
+        assert route.paths == (Path(start, b), Path(a, end))
+
     def test_route_chaining_enforced(self):
         with pytest.raises(ValueError):
             Route((Path(self.W1, self.W2), Path(self.W3, self.W4)))
@@ -868,9 +876,11 @@ class TestExportImport:
         assert not (tmp_path / "t").exists()
 
     def test_serialization_failure_writes_nothing(self, tmp_path):
-        bad = Where(Locale(extensions=("<unclosed",)))
-        trail = _trail(_node(0, SITE_A, Information(("a",), ())), ObservedNode(T(60), bad))
-        with pytest.raises(NotWellFormed):
+        # a dateTime past the year 9999 has no four-digit lexical form
+        late = ObservedNode(Time(Time.from_lexical("9999-12-31T23:59:59.999").epoch_millis + 1),
+                            W(SITE_B))
+        trail = _trail(_node(0, SITE_A, Information(("a",), ())), late)
+        with pytest.raises(ValueError, match="outside the years 1-9999"):
             export_observed(trail, Manual(), tmp_path / "t")
         assert not (tmp_path / "t").exists()
 

@@ -394,18 +394,48 @@ class TestStructure:
         assert el.text == "mind the step"
 
     def test_locale_extension_fixpoint(self):
-        # after one round trip the stored fragment string is stable
+        # the fragment is held in its canonical form from construction, so
+        # the first round trip already gives the event back
         ext = '<ext:note xmlns:ext="urn:example:ext">mind the step</ext:note>'
-        first = parse_location_event(
-            serialize_location_event(_event(where=Where(Locale(extensions=(ext,)))))
-        )
-        second = parse_location_event(serialize_location_event(first))
-        assert second == first
+        event = _event(where=Where(Locale(extensions=(ext,))))
+        assert parse_location_event(serialize_location_event(event)) == event
 
     def test_broken_extension_fragment_is_not_well_formed(self):
-        event = _event(where=Where(Locale(extensions=("<e",))))
         with pytest.raises(NotWellFormed, match="^locale extension fragment: "):
-            serialize_location_event(event)
+            Locale(extensions=("<e",))
+
+    @pytest.mark.parametrize(
+        "fragment", ["<classification/>", '<p:e xmlns:p="urn:x"><plain/></p:e>'],
+    )
+    def test_extension_element_in_no_namespace_is_refused(self, fragment):
+        # the canonical document would read it back as a wire element
+        with pytest.raises(SchemaViolation) as raised:
+            Locale(extensions=(fragment,))
+        assert raised.value.rule == "namespace"
+
+    @pytest.mark.parametrize(
+        "extension, path, name",
+        [
+            ('<parent xmlns=""/>', "parent", "parent"),
+            ('<x:e xmlns:x="urn:x"><plain xmlns=""/></x:e>', "e", "plain"),
+        ],
+    )
+    def test_reader_reports_an_element_in_no_namespace(self, extension, path, name):
+        # at the parent this locale parsed, and after one serialize read
+        # back as a locale with a parent
+        document = serialize_location_event(_event(where=Where(Locale()))).replace(
+            b"<locale />", f"<locale>{extension}</locale>".encode()
+        )
+        expected = (
+            f"/locationEvent/observation[1]/where/locale/{path}", "namespace",
+            f"element {name!r} in no namespace",
+        )
+        assert [(v.path, v.rule, v.detail) for v in validate_document(document).violations] == [
+            expected
+        ]
+        with pytest.raises(SchemaViolation) as raised:
+            parse_location_event(document)
+        assert (raised.value.path, raised.value.rule, raised.value.detail) == expected
 
     def test_foreign_parent_is_extension_not_field(self):
         # same local name as the schema's parent element, different namespace:
@@ -479,6 +509,12 @@ class TestParseWhere:
     def test_namespace_less_fragment_accepted(self):
         w = parse_where('<where name="x"><physicalLocation/></where>')
         assert w == Where(PhysicalLocation(), name="x")
+
+    def test_namespace_less_fragment_reads_as_if_declared(self):
+        # a plain element inside a foreign one is in the wire namespace too
+        plain = '<where><locale><x:e xmlns:x="urn:x"><note/></x:e></locale></where>'
+        declared = plain.replace("<where>", f'<where xmlns="{NS}">')
+        assert parse_where(plain) == parse_where(declared)
 
     def test_wrong_namespace_rejected(self):
         with pytest.raises(SchemaViolation):
