@@ -559,9 +559,9 @@ def export_observed(trail: ObservedTrail, policy: RecordingPolicy, directory) ->
     is named after that node (``0007.xml``), and the node's
     ``info``/``link`` lines follow the run's ``event`` line.
 
-    Raises ValueError, before writing anything, for a stamp outside the
-    years 1-9999 or not a Time, or a manifest that would not read back as
-    given: a Proximity policy's designated regions, a subject make_id
+    Raises, before writing anything, if an event fails to serialize, and
+    ValueError for a non-Time stamp or a manifest that would not read back
+    as given: a Proximity policy's designated regions, a subject make_id
     refuses, a line break or stripped space in a text, an empty Information."""
     lines = [f"subject {trail.subject.key}", f"policy {_format_policy(policy)}"]
     files: list[tuple[str, Optional[Information], bytes]] = []  # (name, its info, serialized event)

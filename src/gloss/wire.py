@@ -667,8 +667,8 @@ def _read_locale(ctx: _Ctx, el: ET.Element, path):
 
 
 def _read_extensions(ctx: _Ctx, kids: list, path):
-    """The children left, for Locale to hold, or _BAD if one holds an element
-    in no namespace, which a canonical document reads as a wire element."""
+    """The children left, for Locale to hold, or _BAD if one holds an element in
+    no namespace.  Locale refuses those too, at the first; this reports each."""
     bad = None
     for kid in kids:
         for el in kid.iter():

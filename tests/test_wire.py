@@ -405,15 +405,6 @@ class TestStructure:
             Locale(extensions=("<e",))
 
     @pytest.mark.parametrize(
-        "fragment", ["<classification/>", '<p:e xmlns:p="urn:x"><plain/></p:e>'],
-    )
-    def test_extension_element_in_no_namespace_is_refused(self, fragment):
-        # the canonical document would read it back as a wire element
-        with pytest.raises(SchemaViolation) as raised:
-            Locale(extensions=(fragment,))
-        assert raised.value.rule == "namespace"
-
-    @pytest.mark.parametrize(
         "extension, path, name",
         [
             ('<parent xmlns=""/>', "parent", "parent"),
