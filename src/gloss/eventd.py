@@ -17,7 +17,7 @@ import socketserver
 import struct
 import threading
 import time
-from bisect import bisect
+from bisect import bisect, bisect_left
 from pathlib import Path as FilePath
 from typing import BinaryIO, Callable, Iterator, Optional
 
@@ -86,9 +86,7 @@ class _Subject:
         # (millis, arrival, obs, node, policy key or None if unplaceable), sorted
         self.entries: list[tuple[int, int, Observation, ObservedNode, object]] = []
         self.kept: list[tuple[int, int, Observation, ObservedNode, object]] = []
-        self.seen: set[Observation] = set()
         self.events: list[LocationEvent] = []
-        self.trail: ObservedTrail | None = None  # built from kept on demand
 
 
 class EventStore:
@@ -157,11 +155,13 @@ class EventStore:
             record = self._subjects.get(event.id)
             if record is None:
                 record = self._subjects[event.id] = _Subject()
-            size = first = len(record.entries)  # first: earliest index that changed
+            entries = record.entries
+            size = first = len(entries)  # first: earliest index that changed
             for obs in event.observations:
-                seen = len(record.seen)
-                record.seen.add(obs)  # one hash: the size tells whether it was new
-                if len(record.seen) == seen:
+                millis = obs.time_of_observation.epoch_millis
+                # an equal obs has equal millis; neither probe reaches obs, which has no order
+                at = bisect(entries, (millis, self._arrivals + 1))
+                if obs in (entry[2] for entry in entries[bisect_left(entries, (millis,)) : at]):
                     continue
                 node = ObservedNode(obs.time_of_observation, obs.where)
                 try:
@@ -169,14 +169,13 @@ class EventStore:
                 except (Unresolvable, EmptyWhere):
                     key = None  # histories may hold wheres a spatial policy cannot place
                 self._arrivals += 1
-                entry = (obs.time_of_observation.epoch_millis, self._arrivals, obs, node, key)
-                at = bisect(record.entries, entry)  # arrivals are unique: nothing later is compared
-                record.entries.insert(at, entry)
+                entries.insert(at, (millis, self._arrivals, obs, node, key))
                 first = min(first, at)
             record.events.append(event)
-            if len(record.entries) > size:
+            accepted = len(entries) - size
+            if accepted:
                 self._refresh_trail(record, first)
-        return len(record.entries) - size
+        return accepted
 
     def _stamp(self, event: LocationEvent) -> LocationEvent:
         step = ProcessingStep(self._clock(), self.step_label)
@@ -191,7 +190,6 @@ class EventStore:
         for entry in entries[first:]:
             if not kept or decide(kept[-1][4], entry[4]):  # the first entry is always kept
                 kept.append(entry)
-        record.trail = None
 
     # -- reads --
 
@@ -217,10 +215,7 @@ class EventStore:
 
     def trail_for(self, subject: Id) -> ObservedTrail:
         with self._lock:
-            record = self._record(subject)
-            if record.trail is None:
-                record.trail = ObservedTrail(subject, tuple(entry[3] for entry in record.kept))
-            return record.trail
+            return ObservedTrail(subject, tuple(entry[3] for entry in self._record(subject).kept))
 
     def subjects(self) -> tuple[Id, ...]:
         with self._lock:

@@ -371,7 +371,7 @@ def coupling_degree(state: CouplingState, content: Content) -> CouplingDegree:
     a dual-role resource counts as an instrument."""
     actuators = sensors = instruments = surfaces = 0
     for resource, attached in state.content_couplings:
-        if attached.id.key != content.id.key:
+        if attached.id != content.id:
             continue
         if isinstance(resource, Actuator):
             actuators += 1
@@ -460,8 +460,8 @@ class CompatibilityContext:
 
 
 def _share_content(state: CouplingState, a: InteractionResource, b: InteractionResource) -> bool:
-    attached_a = {c.id.key for r, c in state.content_couplings if r == a}
-    attached_b = {c.id.key for r, c in state.content_couplings if r == b}
+    attached_a = {c.id for r, c in state.content_couplings if r == a}
+    attached_b = {c.id for r, c in state.content_couplings if r == b}
     return bool(attached_a & attached_b)
 
 

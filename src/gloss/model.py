@@ -351,8 +351,9 @@ class Locale:
     Immutable construction makes parent chains finite by construction.
     Each of ``extensions``, text or a parsed element, is held as _foreign
     writes it with its own namespaces, so spellings of one fragment are
-    equal.  Broken text raises NotWellFormed; an element in no namespace,
-    which a canonical document reads as a wire element, SchemaViolation.
+    equal.  Broken text, or a character XML 1.0 cannot carry, raises
+    NotWellFormed; an element in no namespace, which a canonical document
+    reads as a wire element, SchemaViolation.
     """
 
     parent: Optional["Locale"] = None
@@ -371,6 +372,8 @@ class Locale:
                     raise NotWellFormed(f"locale extension fragment: {e}") from None
             ns: dict = {}  # _foreign fills it before _qualified reads it
             held.append(_declare(ns, _foreign(ext, ns), 1 + len(_qualified(ext.tag, ns))))
+            if bad := _NOT_XML_CHAR.search(held[-1]):  # only a hand-built element holds one
+                raise NotWellFormed(f"locale extension fragment: {bad[0]!r} is no XML character")
         object.__setattr__(self, "extensions", tuple(held))
 
 
@@ -402,6 +405,7 @@ _PREFIXES = {
     "http://www.w3.org/2001/XMLSchema-instance": "xsi",
     "http://purl.org/dc/elements/1.1/": "dc",
 }
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 _TEXT = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"))
 _ATTR = _TEXT + (('"', "&quot;"), ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;"))
 

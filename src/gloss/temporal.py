@@ -43,16 +43,6 @@ _MIN_MILLIS = (date.min.toordinal() - _EPOCH_ORDINAL) * MILLIS_PER_DAY
 _MAX_MILLIS = (date.max.toordinal() + 1 - _EPOCH_ORDINAL) * MILLIS_PER_DAY - 1
 
 
-class _TwoDigits(dict):
-    """int() of a two-digit field, looked up for ASCII digits."""
-
-    def __missing__(self, digits: str) -> int:
-        return int(digits)  # other digits \d matches
-
-
-_TWO_DIGITS = _TwoDigits((f"{n:02d}", n) for n in range(100))
-
-
 def lex_datetime(text: str) -> tuple[int, bool]:
     """Epoch milliseconds of a dateTime lexical form, and whether the form
     names its zone.
@@ -65,20 +55,17 @@ def lex_datetime(text: str) -> tuple[int, bool]:
     if m is None:
         raise ValueError(f"malformed dateTime: {text!r}")
     year, month, day, hour, minute, second, frac, zone = m.groups()
-    two = _TWO_DIGITS
     offset = 0  # minutes east of UTC
     if zone is not None and zone != "Z":
-        offset = two[zone[1:3]] * 60 + two[zone[4:6]]
+        offset = int(zone[1:3]) * 60 + int(zone[4:6])
         if zone[0] == "-":
             offset = -offset
         if not -1440 < offset < 1440:
             timezone(timedelta(minutes=offset))  # raises, with datetime's message
-    hour = two[hour]
-    minute = two[minute]
-    second = two[second]
+    hour, minute, second = int(hour), int(minute), int(second)
     if hour > 23 or minute > 59 or second > 59:
-        datetime(int(year), two[month], two[day], hour, minute, second)  # raises likewise
-    days = date(int(year), two[month], two[day]).toordinal() - _EPOCH_ORDINAL  # checks the date
+        datetime(int(year), int(month), int(day), hour, minute, second)  # raises likewise
+    days = date(int(year), int(month), int(day)).toordinal() - _EPOCH_ORDINAL  # checks the date
     millis = (((days * 24 + hour) * 60 + minute - offset) * 60 + second) * 1000
     if frac:
         millis += int(round(float(frac) * 1000))

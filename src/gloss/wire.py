@@ -10,7 +10,7 @@ Canonical output is UTF-8 after an XML declaration, with no whitespace of
 its own, written directly as strings by ElementTree's rules, frozen:
 - an element with no text and no children is `<tag />`;
 - text escapes & < >; attribute values also " CR LF TAB (`&#10;` for LF);
-- doubles are repr() less a trailing ".0"; dateTime years have 4 digits;
+- doubles: repr() less a trailing ".0", -0.0 as 0; dateTime years: 4 digits;
 - a unit attribute is omitted when it is the default (M, m, knots);
 - a locale extension fragment, held as model.Locale writes it, is
   re-read and written with every namespace declared on the root, sorted by
@@ -829,7 +829,7 @@ _NS_ATTR = f' xmlns="{NS}"'
 
 
 def _fmt_double(v: float) -> str:
-    s = repr(float(v))
+    s = repr(float(v) + 0.0)  # -0.0 + 0.0 is 0.0: negative zero is written 0
     return s[:-2] if s.endswith(".0") else s
 
 

@@ -56,7 +56,7 @@ def read_extension(ext: ET.Element) -> str:
 
 
 def _fmt_double(v: float) -> str:
-    s = repr(float(v))
+    s = repr(float(v) + 0.0)  # -0.0 + 0.0 is 0.0: negative zero is written 0
     return s[:-2] if s.endswith(".0") else s
 
 

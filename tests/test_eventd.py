@@ -230,6 +230,26 @@ class TestIngest:
         assert after == before
         assert len(store.subjects()) == 1
 
+    def test_accepted_count_is_taken_inside_the_lock(self):
+        store = EventStore(clock=_tick())
+        lock, others = store._lock, [_doc(2, 2.0, 2.0)]
+
+        class Interloper:
+            """The real lock, but once it is released another connection
+            ingests a new observation for the same subject."""
+
+            def __enter__(self):
+                return lock.__enter__()
+
+            def __exit__(self, *exc):
+                lock.__exit__(*exc)
+                if others:
+                    store.ingest(others.pop())
+
+        store._lock = Interloper()
+        assert store.ingest(_doc(1, 1.0, 1.0)) == 1
+        assert len(store.observations(SUBJECT)) == 2
+
     def test_subjects_keep_id_forms_apart(self):
         store = EventStore(clock=_tick())
         phone = Id(IdKind.PHONE, "+44 1")

@@ -315,6 +315,9 @@ class TestPairsWithin:
         assert pairs_within([], 10.0) == []
         assert pairs_within([_point(89.9999, 179.9999)], 10.0) == []
 
+    def test_negative_radius_finds_nothing(self):
+        assert pairs_within([_point(0.0, 0.0), _point(0.0, 0.0)], -1.0) == []
+
     @given(neighbour_sets())
     @settings(max_examples=300)
     def test_matches_all_pairs(self, case):

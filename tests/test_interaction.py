@@ -98,6 +98,8 @@ class TestResourceInvariants:
         assert sorted(
             [OrdinalScore.HIGH, OrdinalScore.LOW, OrdinalScore.MEDIUM]
         ) == [OrdinalScore.LOW, OrdinalScore.MEDIUM, OrdinalScore.HIGH]
+        with pytest.raises(TypeError):
+            OrdinalScore.LOW < 1
 
     def test_sub_surfaces_point_at_parent(self):
         parent = _surface("board")

@@ -22,6 +22,8 @@ from gloss.model import (
     Distance,
     DistanceUnit,
     Gazetteer,
+    GlossObject,
+    Id,
     IdKind,
     Information,
     Junction,
@@ -228,6 +230,10 @@ class TestStructuredTypes:
         assert j.meets == frozenset((a, b))
         with pytest.raises(ValueError):
             Junction(meets=(a, a))
+
+    def test_gloss_object_is_abstract(self):
+        with pytest.raises(TypeError):
+            GlossObject(Id(IdKind.BIT_STRING, "x"))
 
     def test_profile_from_mapping_is_order_insensitive(self):
         p1 = Profile.from_mapping(preferences={"a": "1", "b": "2"})

@@ -414,6 +414,12 @@ class TestDistill:
         assert by_hop[("n1", "n2")] == statistics.median([90.0, 80.0])
         assert by_hop[("n1", "n0")] == 40.0
 
+    def test_empty_trail_adds_nothing(self):
+        # last, so that reading past its empty span would run off the end
+        first = self._walks()[0]
+        got = distill_archetypal([first, ObservedTrail(SUBJECT, ())], Distance(100.0))
+        assert got == distill_archetypal([first], Distance(100.0))
+
     def test_info_merged_onto_nodes(self):
         got = distill_archetypal(self._walks(), Distance(100.0))
         assert got.nodes[0].info.info == ("start here",)
@@ -685,14 +691,24 @@ class TestRoutesThrough:
         with pytest.raises(TooLarge):
             routes_through(trail, wheres[0], wheres[1], set())
 
-    def test_fragment_spellings_are_one_node(self):
-        # two spellings of one fragment: equal places, so the route chains
+    def _assert_one_node(self, a, b):
+        # a and b are equal places: one node, so the route chains
         start, end = self.W1, self.W2
-        a = Where(Locale(extensions=('<e xmlns="urn:x"/>',)))
-        b = Where(Locale(extensions=('<e xmlns="urn:x"></e>',)))
         trail = self._trail_of(start, a, end)
         (route,) = routes_through(trail, start, end, (Path(start, b), Path(a, end)))
         assert route.paths == (Path(start, b), Path(a, end))
+
+    def test_fragment_spellings_are_one_node(self):
+        self._assert_one_node(
+            Where(Locale(extensions=('<e xmlns="urn:x"/>',))),
+            Where(Locale(extensions=('<e xmlns="urn:x"></e>',))),
+        )
+
+    def test_negative_zero_is_one_node(self):
+        self._assert_one_node(
+            Where(PhysicalLocation(LatLongCoordinate(0.0, 2.0))),
+            Where(PhysicalLocation(LatLongCoordinate(-0.0, 2.0))),
+        )
 
     def test_route_chaining_enforced(self):
         with pytest.raises(ValueError):
@@ -883,6 +899,12 @@ class TestExportImport:
         with pytest.raises(ValueError, match="outside the years 1-9999"):
             export_observed(trail, Manual(), tmp_path / "t")
         assert not (tmp_path / "t").exists()
+
+    def test_deleted_event_file_is_not_found(self, tmp_path):
+        manifest = export_observed(self._rich_trail(), Manual(), tmp_path)
+        (tmp_path / "0002.xml").unlink()
+        with pytest.raises(FileNotFoundError):
+            import_observed(manifest)
 
     def test_info_before_the_first_event_is_refused(self, tmp_path):
         manifest = export_observed(self._rich_trail(), Manual(), tmp_path)

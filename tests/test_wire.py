@@ -172,6 +172,18 @@ class TestCanonicalBytes:
         assert b"<latitude>56</latitude>" in data
         assert b"<longitude>-2.5</longitude>" in data
 
+    def test_negative_zero_is_written_as_zero(self):
+        # equal places and events must serialize to identical bytes
+        def place(lat):
+            return Where(PhysicalLocation(LatLongCoordinate(lat, 2.0)))
+
+        assert place(-0.0) == place(0.0)
+        assert serialize_where(place(-0.0)) == serialize_where(place(0.0))
+        assert b"<latitude>0</latitude>" in serialize_where(place(-0.0))
+        assert serialize_location_event(_event(course=-0.0)) == serialize_location_event(
+            _event(course=0.0)
+        )
+
     @pytest.mark.parametrize("year", [1, 500, 999])
     def test_early_years_round_trip(self, year):
         t = Time.from_lexical(f"{year:04d}-03-01T00:00:00")
@@ -403,6 +415,25 @@ class TestStructure:
     def test_broken_extension_fragment_is_not_well_formed(self):
         with pytest.raises(NotWellFormed, match="^locale extension fragment: "):
             Locale(extensions=("<e",))
+
+    @pytest.mark.parametrize("part", ["text", "attribute"])
+    def test_extension_element_with_a_non_xml_character_is_not_well_formed(self, part):
+        # a hand-built element can hold what no XML document can carry
+        el = ET.Element("{urn:x}e")
+        if part == "text":
+            el.text = "a\x01b"
+        else:
+            el.set("k", "a\x01b")
+        with pytest.raises(NotWellFormed, match="^locale extension fragment: "):
+            Locale(extensions=(el,))
+
+    def test_event_without_observations_is_refused(self):
+        with pytest.raises(ValueError):
+            LocationEvent(Id(IdKind.BIT_STRING, "t"), (), ())
+
+    def test_unknown_where_payload_is_refused(self):
+        with pytest.raises(TypeError):
+            serialize_where(Where(payload=object()))
 
     @pytest.mark.parametrize(
         "extension, path, name",
