@@ -1,4 +1,4 @@
-"""Growth of the wire codec, trail distillation and ingest with input size.
+"""Growth of the wire codec, trail distillation, ingest and surface moves with input size.
 
 Each row times n, 2n and 4n items and prints the microseconds per item
 at each size and the growth, the 4n cost over the n cost: about 1 for
@@ -22,6 +22,8 @@ every earlier item.  The rows:
 - import: per point read back by trails.import_observed from one trail
   of m nodes, info on every 4th, exported untimed into a temporary
   directory.
+- place: per move made by Topology.place, m moves of random surfaces
+  over a Topology of m surfaces placed within 2 km.
 
 Inputs and stores are built untimed.  A cell's time is the CPU time of
 the calling thread, the best of --k passes, multiplied by perfbench's
@@ -51,6 +53,7 @@ from common import REFERENCE_S, gauge_s, speed_scale  # noqa: E402
 from gloss import model, wire  # noqa: E402
 from gloss.eventd import EventStore  # noqa: E402
 from gloss.geo import components_within, destination_point  # noqa: E402
+from gloss.interaction import InteractionResource, Placement, Role, Topology  # noqa: E402
 from gloss.temporal import Time  # noqa: E402
 from gloss.trails import (  # noqa: E402
     FixedSpatial,
@@ -157,6 +160,26 @@ def exported(m: int, folder: Path) -> Path:
     return export_observed(ObservedTrail(SUBJECT, tuple(nodes)), Manual(), folder / str(m))
 
 
+def surfaces(m: int):
+    """A Topology of m surfaces placed within 2 km of HOME, and m moves
+    of random ones among them."""
+    rng = random.Random(SEED)
+
+    def where():
+        return model.Where(model.PhysicalLocation(_in_disc(rng, HOME, 2000.0)))
+
+    resources = [
+        InteractionResource(model.Id(model.IdKind.BIT_STRING, f"s{k}"), {Role.SURFACE}) for k in range(m)
+    ]
+    topology = Topology(tuple((resource, Placement(where())) for resource in resources))
+    return topology, [(resources[rng.randrange(m)], where()) for _ in range(m)]
+
+
+def move(topology, moves):
+    for entity, where in moves:
+        topology = topology.place(entity, where)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--n", type=int, default=1000, help="smallest size (default 1000)")
@@ -186,6 +209,7 @@ def main(argv=None) -> int:
             "in-order": lambda m: partial(each, store().ingest, walk(m, False)),
             "late": lambda m: partial(each, store().ingest, walk(m, True)),
             "import": lambda m: partial(import_observed, exported(m, Path(scratch))),
+            "place": lambda m: partial(move, *surfaces(m)),
         }
         print(f"python {platform.python_version()}, n={args.n}, seed={SEED}, best of {args.k}, "
               f"thread CPU us per item, gauged to {1e3 * REFERENCE_S:g} ms")

@@ -12,6 +12,7 @@ discipline and nothing else.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Optional, Union
@@ -255,38 +256,93 @@ class Placement:
     orientation: Optional[CompassDirection] = None
 
 
-@dataclass(frozen=True)
 class Topology:
     """Placement of entities in one reference frame, at most one each,
     listed in the order of their last ``place`` (constructor order for the
-    rest).  Backed by an insertion-ordered dict of ``(entity, Placement)``
-    pairs by entity, left out of ``==``, ``hash`` and ``repr``: ``place``
-    copies it in C, O(n), and hashes and pairs only the moved entity."""
+    rest).  ``==``, ``hash``, ``repr`` and pickling go by that tuple.
 
-    placements: tuple[tuple[object, Placement], ...] = ()
-    _index: dict = field(init=False, repr=False, compare=False, hash=False)
+    Versions share one dict of ``entity -> (seq, entity, Placement)`` by
+    shallow binding (Baker, "Shallow binding makes functional arrays
+    fast", 1991): the newest version holds it, and each older one keeps an
+    undo record pointing at the version made from it; ``seq`` numbers the
+    entry's last ``place``.  ``place`` is O(1) when each version is moved
+    once, and hashes only the moved entity.  Reading a version k moves
+    back costs O(k), since the read reroots the dict to it, and
+    ``placements`` sorts once per version.  Reads mutate the shared dict,
+    so each family of versions shares one lock."""
 
-    def __post_init__(self):
+    __slots__ = ("_lock", "_next", "_data", "_placements", "__weakref__")
+
+    def __init__(self, placements: tuple[tuple[object, Placement], ...] = ()):
         index = {}
-        for entity, placement in self.placements:
+        for seq, (entity, placement) in enumerate(placements):
             if entity in index:
                 raise ValueError(f"{entity!r} placed twice")
-            index[entity] = (entity, placement)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "placements", tuple(index.values()))
+            index[entity] = (seq, entity, placement)
+        self._lock = threading.Lock()
+        self._next = len(index)  # the seq of the next place
+        self._data = index  # the dict while this version holds it, else an undo record
+        self._placements = None
+
+    def _reroot(self) -> dict:
+        """Move the shared dict to this version and return it.  Call with
+        the lock held."""
+        path = []
+        version = self
+        while isinstance(version._data, tuple):
+            path.append(version)
+            version = version._data[2]
+        index = version._data
+        for older in reversed(path):  # undo the newest change first
+            entity, previous, newer = older._data
+            current = index.pop(entity, None)
+            if previous is not None:
+                index[entity] = previous
+            newer._data = (entity, current, older)
+            older._data = index
+        return index
 
     def place(self, entity, where: Where, orientation=None) -> "Topology":
-        index = self._index.copy()
-        index.pop(entity, None)  # re-inserted last: the moved entity goes to the end
-        index[entity] = (entity, Placement(where, orientation))
-        # the index names each entity once; skip __post_init__'s re-check
-        topology = object.__new__(Topology)
-        object.__setattr__(topology, "_index", index)
-        object.__setattr__(topology, "placements", tuple(index.values()))
-        return topology
+        moved = object.__new__(Topology)
+        moved._lock, moved._next, moved._placements = self._lock, self._next + 1, None
+        with self._lock:
+            index = self._reroot()
+            previous = index.get(entity)
+            index[entity] = (self._next, entity, Placement(where, orientation))
+            self._data = (entity, previous, moved)
+            moved._data = index
+        return moved
 
     def placement_of(self, entity) -> Optional[Placement]:
-        return self._index.get(entity, (None, None))[1]
+        with self._lock:
+            entry = self._reroot().get(entity)
+        return None if entry is None else entry[2]
+
+    def _entries(self) -> list:
+        """This version's ``(seq, entity, Placement)`` entries, unordered."""
+        with self._lock:
+            return list(self._reroot().values())
+
+    @property
+    def placements(self) -> tuple[tuple[object, Placement], ...]:
+        if self._placements is None:
+            # each seq is unique within a version, so no two entities are compared
+            self._placements = tuple(entry[1:] for entry in sorted(self._entries()))
+        return self._placements
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.placements == other.placements
+
+    def __hash__(self):
+        return hash(self.placements)
+
+    def __repr__(self):
+        return f"Topology(placements={self.placements!r})"
+
+    def __reduce__(self):
+        return Topology, (self.placements,)
 
 
 def _pair(a: InteractionResource, b: InteractionResource) -> frozenset:
@@ -406,7 +462,7 @@ def proximity_coupling(
     reach = distance_in_metres(threshold)
     placed = [
         (entity, resolved_point(placement.where, gazetteer))
-        for entity, placement in topology.placements
+        for _, entity, placement in topology._entries()
         if isinstance(entity, InteractionResource) and Role.SURFACE in entity.roles
     ]
     pairs = frozenset(

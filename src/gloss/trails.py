@@ -481,13 +481,13 @@ def _format_policy(policy: RecordingPolicy) -> str:
     if isinstance(policy, Manual):
         return "manual"
     if isinstance(policy, FixedTime):
-        return f"fixed-time {policy.interval_seconds!r}"
+        return f"fixed-time {policy.interval_seconds + 0.0!r}"
     if isinstance(policy, FixedSpatial):
         d = policy.min_distance
-        return f"fixed-spatial {d.value!r} {d.unit.value}"
+        return f"fixed-spatial {d.value + 0.0!r} {d.unit.value}"
     if isinstance(policy, Proximity):
         d = policy.threshold
-        return f"proximity {d.value!r} {d.unit.value}"
+        return f"proximity {d.value + 0.0!r} {d.unit.value}"
     raise TypeError(f"not a recording policy: {policy!r}")
 
 
@@ -632,7 +632,7 @@ def export_archetypal(trail: ArchetypalTrail) -> str:
     for node in trail.nodes:
         try:
             p = resolved_point(node.where, None)
-            lat, lon = repr(p.latitude), repr(p.longitude)
+            lat, lon = repr(p.latitude + 0.0), repr(p.longitude + 0.0)
         except GlossError:
             lat = lon = "-"
         lines.append(f"node {node.key} {lat} {lon}")
@@ -642,7 +642,7 @@ def export_archetypal(trail: ArchetypalTrail) -> str:
             lines.append(f"link {link}")
     for e in trail.edges:
         mode = e.mode.value if e.mode is not None else "-"
-        seconds = repr(e.median_travel_seconds) if e.median_travel_seconds is not None else "-"
+        seconds = repr(e.median_travel_seconds + 0.0) if e.median_travel_seconds is not None else "-"
         lines.append(f"edge {e.source} {e.target} {mode} {seconds}")
     lines.append(f"order {' '.join(trail.recommended_order)}")
     return "\n".join(lines) + "\n"

@@ -1,15 +1,20 @@
 """Resource/surface/instrument model: coupling state, degree bookkeeping,
 the proximity rule, and surface compatibility classification."""
 
+import gc
 import os
 import pickle
 import random
 import subprocess
 import sys
+import threading
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from gloss.errors import SpecificityMismatch
 from gloss.geo import destination_point, great_circle_distance
@@ -335,6 +340,125 @@ class TestTopology:
         calls.clear()
         assert moved.placement_of(entities[200]) == Placement(_at(1.0))
         assert len(calls) <= 4
+
+
+def _check_version(topo, placements):
+    """One Topology version against its reference: the (entity, Placement)
+    pairs in place order, and a dict of them by entity."""
+    by_entity = dict(placements)
+    for entity in _POOL:
+        assert topo.placement_of(entity) == by_entity.get(entity)
+    assert topo.placements == placements
+    assert all(a is b for (a, _), (b, _) in zip(topo.placements, placements))
+    checked = Topology(placements)
+    assert topo == checked and hash(topo) == hash(checked)
+    assert repr(topo) == repr(checked)
+    copy = pickle.loads(pickle.dumps(topo))
+    assert copy == topo and copy.placements == topo.placements
+
+
+class TopologyVersions(RuleBasedStateMachine):
+    """Places on any held version and reads of old ones, each version
+    checked against the pairs it should hold."""
+
+    def __init__(self):
+        super().__init__()
+        self.held = [(Topology(), ())]
+
+    @rule(data=st.data(), k=st.integers(0, len(_POOL) - 2), metres=st.integers(0, 3))
+    def place(self, data, k, metres):
+        topo, placements = self.held[data.draw(st.integers(0, len(self.held) - 1))]
+        self.held.append((topo.place(_POOL[k], _at(metres)), _linear_place(placements, _POOL[k], _at(metres))))
+
+    @rule(data=st.data(), k=st.integers(0, len(_POOL) - 1))
+    def read_old(self, data, k):
+        topo, placements = self.held[data.draw(st.integers(0, len(self.held) - 1))]
+        assert topo.placement_of(_POOL[k]) == dict(placements).get(_POOL[k])
+
+    @invariant()
+    def every_version_reads_as_made(self):
+        for topo, placements in self.held:
+            _check_version(topo, placements)
+
+
+TestTopologyVersions = TopologyVersions.TestCase
+TestTopologyVersions.settings = settings(max_examples=100, stateful_step_count=30, deadline=None)
+
+
+class TestTopologySharing:
+    def test_place_allocates_alike_at_any_size(self):
+        def traced_peak(n):
+            entities = [_surface(f"s{k}") for k in range(n)]
+            topo = Topology(tuple((e, Placement(_at(0.0))) for e in entities))
+            moves = [(entities[k % 100], _at(float(k))) for k in range(200)]  # the same moves at both sizes
+            tracemalloc.start()
+            try:
+                for entity, where in moves:
+                    topo = topo.place(entity, where)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(4000) / traced_peak(100) < 2
+
+    def test_first_of_10000_versions_reads_back(self):
+        entities = [_surface(f"s{k}") for k in range(10)]
+        wheres = [_at(float(k)) for k in range(7)]
+        made = tuple((e, Placement(wheres[k % 7])) for k, e in enumerate(entities))
+        first = topo = Topology(made)
+        for k in range(10_000):
+            topo = topo.place(entities[k % 10], wheres[k % 7])
+        assert first.placements == made  # no RecursionError on the way back
+        assert first.placement_of(entities[9]) == Placement(wheres[2])
+        assert topo.placements == tuple((entities[k % 10], Placement(wheres[k % 7])) for k in range(9_990, 10_000))
+
+    def test_a_long_chain_keeps_no_old_version_alive(self):
+        a = _surface("a")
+        topo = Topology()
+        refs = []
+        for k in range(100):
+            topo = topo.place(a, _at(float(k)))
+            refs.append(weakref.ref(topo))
+        gc.collect()
+        assert [ref() is None for ref in refs] == [True] * 99 + [False]
+        assert topo.placements == ((a, Placement(_at(99.0))),)
+
+    def test_two_threads_grow_branches_of_one_version(self):
+        entities = [_surface(f"s{k}") for k in range(8)]
+        wheres = [_at(float(k)) for k in range(500)]
+        made = tuple((e, Placement(wheres[0])) for e in entities)
+        shared = Topology(made)
+        grown, errors = {}, []
+
+        def grow(branch):
+            try:
+                topo, placements = shared, made
+                for k in range(500):
+                    entity = entities[(3 * k + branch) % 8]
+                    topo = topo.place(entity, wheres[k])
+                    placements = _linear_place(placements, entity, wheres[k])
+                    assert topo.placement_of(entity) == Placement(wheres[k])
+                    assert topo.placements == placements
+                grown[branch] = (topo, placements)
+            except Exception as e:
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(branch,)) for branch in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(grown) == 2
+        for topo, placements in grown.values():
+            assert topo.placements == placements
+        assert shared.placements == made
 
 
 class TestProximityCoupling:

@@ -39,7 +39,7 @@ def sweep_rows():
 
 def test_sweep_prints_each_row_at_three_sizes(sweep_rows):
     assert [row[0] for row in sweep_rows] == [
-        "parse", "validate", "serialize", "spot", "sites", "uniform", "in-order", "late", "import"
+        "parse", "validate", "serialize", "spot", "sites", "uniform", "in-order", "late", "import", "place"
     ]
     for row in sweep_rows:
         assert len(row) == 5  # n, 2n and 4n costs, then the growth

@@ -788,6 +788,19 @@ class TestExportImport:
         assert got_trail == trail
         assert got_policy == policy
 
+    @pytest.mark.parametrize(
+        "policy",
+        [FixedTime, lambda zero: FixedSpatial(Distance(zero)), lambda zero: Proximity((), Distance(zero))],
+        ids=["fixed-time", "fixed-spatial", "proximity"],
+    )
+    def test_equal_policies_write_one_manifest(self, tmp_path, policy):
+        # -0.0 == 0.0: a policy holding either is one value, so one text
+        manifests = [
+            export_observed(self._rich_trail(), policy(zero), tmp_path / str(k)).read_text()
+            for k, zero in enumerate((-0.0, 0.0))
+        ]
+        assert manifests[0] == manifests[1]
+
     def test_manifest_layout(self, tmp_path):
         manifest = export_observed(self._rich_trail(), Manual(), tmp_path)
         lines = manifest.read_text().splitlines()
@@ -1016,6 +1029,19 @@ class TestExportArchetypal:
             "edge n0 n1 - 42.0",
             "order n0 n1",
         ]
+
+    def test_equal_trails_export_one_listing(self):
+        # -0.0 == 0.0, so these trails are equal and hash alike
+        def one_node(zero):
+            return ArchetypalTrail((ArchetypalNode("n0", W(LatLongCoordinate(zero, zero))),), (), ("n0",))
+
+        def with_edge(zero):
+            nodes = (ArchetypalNode("n0", W(SITE_A)), ArchetypalNode("n1", W(SITE_B)))
+            return ArchetypalTrail(nodes, (TrailEdge("n0", "n1", None, zero),), ("n0", "n1"))
+
+        for trail in (one_node, with_edge):
+            assert trail(-0.0) == trail(0.0)
+            assert export_archetypal(trail(-0.0)) == export_archetypal(trail(0.0))
 
     def test_listing_raises_on_a_where_that_is_not_a_where(self):
         # only a where that names no point prints "-"; a wrong type is a bug
