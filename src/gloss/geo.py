@@ -334,10 +334,8 @@ def intersects(r1: Region, r2: Region) -> bool:
 def resolved_point(where: Where, gazetteer: Gazetteer | None = None) -> LatLongCoordinate:
     """Collapse a where to its distinguished coordinate."""
     payload = where.payload
-    if isinstance(payload, PhysicalLocation):  # resolve_region would wrap it in a Region
-        if payload.coordinate is None:
-            raise Unresolvable("physical location has no coordinate")
-        return payload.coordinate
+    if isinstance(payload, PhysicalLocation) and payload.coordinate is not None:
+        return payload.coordinate  # resolve_region would wrap it in a Region
     region = resolve_region(where, gazetteer)
     coordinate = region.distinguished_point.coordinate
     if coordinate is None:

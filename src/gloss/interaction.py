@@ -268,10 +268,10 @@ class Topology:
     entry's last ``place``.  ``place`` is O(1) when each version is moved
     once, and hashes only the moved entity.  Reading a version k moves
     back costs O(k), since the read reroots the dict to it, and
-    ``placements`` sorts once per version.  Reads mutate the shared dict,
-    so each family of versions shares one lock."""
+    ``placements`` sorts on each read.  Reads mutate the shared dict, so
+    each family of versions shares one lock, held by every read."""
 
-    __slots__ = ("_lock", "_next", "_data", "_placements", "__weakref__")
+    __slots__ = ("_lock", "_next", "_data", "__weakref__")
 
     def __init__(self, placements: tuple[tuple[object, Placement], ...] = ()):
         index = {}
@@ -282,7 +282,6 @@ class Topology:
         self._lock = threading.Lock()
         self._next = len(index)  # the seq of the next place
         self._data = index  # the dict while this version holds it, else an undo record
-        self._placements = None
 
     def _reroot(self) -> dict:
         """Move the shared dict to this version and return it.  Call with
@@ -304,7 +303,7 @@ class Topology:
 
     def place(self, entity, where: Where, orientation=None) -> "Topology":
         moved = object.__new__(Topology)
-        moved._lock, moved._next, moved._placements = self._lock, self._next + 1, None
+        moved._lock, moved._next = self._lock, self._next + 1
         with self._lock:
             index = self._reroot()
             previous = index.get(entity)
@@ -325,10 +324,8 @@ class Topology:
 
     @property
     def placements(self) -> tuple[tuple[object, Placement], ...]:
-        if self._placements is None:
-            # each seq is unique within a version, so no two entities are compared
-            self._placements = tuple(entry[1:] for entry in sorted(self._entries()))
-        return self._placements
+        # each seq is unique within a version, so no two entities are compared
+        return tuple(entry[1:] for entry in sorted(self._entries()))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -149,13 +149,16 @@ When = Time | SymbolicTime | TemporalRegion
 
 @dataclass(frozen=True)
 class TimeOfDay:
-    """A time of day detached from any date, in [0, 86400) seconds."""
+    """A time of day detached from any date, in [0, 86400) seconds to the millisecond."""
 
     seconds_since_midnight: float
 
     def __post_init__(self):
-        if not 0 <= self.seconds_since_midnight < 86_400:
+        s = self.seconds_since_midnight
+        if not 0 <= s < 86_400:
             raise ValueError("time of day outside [0, 86400)")
+        # whole milliseconds, all lexical() writes, so values that serialize alike are equal
+        object.__setattr__(self, "seconds_since_midnight", min(round(s * 1000), 86_399_999) / 1000)
 
     @classmethod
     def from_lexical(cls, text: str) -> "TimeOfDay":
@@ -170,9 +173,7 @@ class TimeOfDay:
         return cls(((hour * 3600 + minute * 60 + second) * 1000 + ms) / 1000.0)
 
     def lexical(self) -> str:
-        # millisecond-quantized, so values built from lexical forms round-trip
-        total_ms = min(round(self.seconds_since_midnight * 1000), 86_399_999)
-        whole, ms = divmod(total_ms, 1000)
+        whole, ms = divmod(round(self.seconds_since_midnight * 1000), 1000)
         h, rem = divmod(whole, 3600)
         m, s = divmod(rem, 60)
         base = f"{h:02d}:{m:02d}:{s:02d}"

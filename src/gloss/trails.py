@@ -86,13 +86,13 @@ _SEARCH_CAP = 12
 
 def _when_millis(when: When) -> int:
     """Order key for a When: instants order by themselves, period sets by
-    their earliest start."""
+    their earliest start, a symbolic time as the period set it denotes."""
     if isinstance(when, Time):
         return when.epoch_millis
+    if isinstance(when, SymbolicTime):
+        when = when.denotes
     if isinstance(when, TemporalRegion):
         return min(p.start.epoch_millis for p in when.periods)
-    if isinstance(when, SymbolicTime):
-        return min(p.start.epoch_millis for p in when.denotes.periods)
     raise TypeError(f"not a When: {when!r}")
 
 

@@ -11,7 +11,7 @@ its own, written directly as strings by ElementTree's rules, frozen:
 - an element with no text and no children is `<tag />`;
 - text escapes & < >; attribute values also " CR LF TAB (`&#10;` for LF);
 - doubles: repr() less a trailing ".0", -0.0 as 0; dateTime years: 4 digits;
-- a unit attribute is omitted when it is the default (M, m, knots);
+- a unit attribute is omitted when it is its class's default (M, m, knots);
 - a locale extension fragment, held as model.Locale writes it, is
   re-read and written with every namespace declared on the root, sorted by
   prefix as strings (ns10 before ns2).  A namespace takes a well-known
@@ -27,17 +27,15 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import NotWellFormed, SchemaViolation
+from .errors import NotWellFormed, OutOfRange, SchemaViolation
 from .model import (
     Address,
     AddressLocation,
     Altitude,
-    AltitudeUnit,
     CircularBounds,
     Classification,
     ClassifiedLocation,
     Distance,
-    DistanceUnit,
     District,
     Horizon,
     Id,
@@ -50,7 +48,6 @@ from .model import (
     RectangularBounds,
     Region,
     Speed,
-    SpeedUnit,
     SymbolicLocation,
     Where,
     Information,
@@ -266,7 +263,7 @@ _OCCURS = {"1": _ONE, "?": _OPT, "+": _SOME, "*": _ANY, "|": _CHOICE, "...": _RE
 
 def _walk(ctx: _Ctx, el: ET.Element, path, grammar, exact=False):
     """One value per particle of `grammar`, reading el's children in order:
-    a reader's result, None for an absent optional, a list for a run; or
+    a reader's result, None for an absent optional, a tuple for a run; or
     _BAD if a reader failed, a required child is missing or a run is empty
     where it may not be.  A child with a particle's local name in another
     namespace is read and reported, or with exact=True left for later
@@ -309,7 +306,7 @@ def _walk(ctx: _Ctx, el: ET.Element, path, grammar, exact=False):
             if not run and occurs == _SOME:
                 ctx.fail((path, local, 0), "minOccurs", f"at least one {local} required")
                 bad = True
-            values.append(run)
+            values.append(tuple(run))
             continue
         elif occurs == _CHOICE:
             value = None
@@ -411,23 +408,19 @@ def _read_email(ctx: _Ctx, el: ET.Element, path):
     return value
 
 
-# quantity elements: class, the default unit (omitted when written),
-# whether negative values breach, and the name breaches use
-_QUANTITIES = {
-    "altitude": (Altitude, AltitudeUnit.METRES, False, "altitude"),
-    "speed": (Speed, SpeedUnit.KNOTS, True, "speed"),
-    "radius": (Distance, DistanceUnit.M, True, "distance"),
-}
+# quantity elements: the class, whose `unit` default is omitted when written
+# and whose constructor refuses a value below its range
+_QUANTITIES = {"altitude": Altitude, "speed": Speed, "radius": Distance}
 
 
 def _read_quantity(ctx: _Ctx, el: ET.Element, path):
-    cls, default_unit, non_negative, what = _QUANTITIES[path[1]]
+    cls = _QUANTITIES[path[1]]
     ok = _attrs_ok(ctx, el, path, allowed=("unit",))
     v = _read_double(ctx, el, path)
     raw_unit = el.get("unit")
-    unit = default_unit
+    unit = cls.unit
     if raw_unit is not None:
-        unit_enum = type(default_unit)
+        unit_enum = type(unit)
         try:
             unit = unit_enum(raw_unit)
         except ValueError:
@@ -439,9 +432,10 @@ def _read_quantity(ctx: _Ctx, el: ET.Element, path):
             ok = False
     if v is _BAD or not ok:
         return _BAD
-    if non_negative and not v >= 0:
-        return ctx.fail(path, "minInclusive", f"{what} {v!r} violates minInclusive=0")
-    return cls(v, unit)
+    try:
+        return cls(v, unit)
+    except OutOfRange:
+        return ctx.fail(path, "minInclusive", f"{cls.__name__.lower()} {v!r} violates minInclusive=0")
 
 
 def _optional_fields(fields, what: str, required=()):
@@ -578,7 +572,7 @@ _read_region = _compound(
 
 
 _read_information = _compound(
-    lambda info, links: Information(tuple(info), tuple(links)),
+    Information,
     ("info", "*", _read_text),
     ("link", "*", _read_text),
 )
@@ -591,7 +585,7 @@ def _read_classification(ctx: _Ctx, el: ET.Element, path):
     (types,) = _walk(ctx, el, path, _CLASSIFICATION)  # a run of text never fails
     if not types:
         return ctx.fail((path, "classificationType", 0), "minOccurs", "at least one type required")
-    return Classification(tuple(types))
+    return Classification(types)
 
 
 # (local name, keyword on Address, reader), in schema order
@@ -607,7 +601,6 @@ _ADDRESS_FIELDS = (
 
 
 def _classified_location(located, classifications, description):
-    classifications = tuple(classifications)
     if located is None:
         return ClassifiedLocation(classifications, description)
     product, address = located
@@ -651,7 +644,7 @@ def _read_symbolic(ctx: _Ctx, el: ET.Element, path):
     if values is _BAD:
         return _BAD
     subtype, information, region, locales, fixed = values
-    return SymbolicLocation(information, region, subtype, tuple(locales), fixed)
+    return SymbolicLocation(information, region, subtype, locales, fixed)
 
 
 def _read_locale(ctx: _Ctx, el: ET.Element, path):
@@ -663,7 +656,7 @@ def _read_locale(ctx: _Ctx, el: ET.Element, path):
     if values is _BAD:
         return _BAD
     parent, classifications, contents, neighbours, extensions = values
-    return Locale(parent, tuple(classifications), tuple(contents), tuple(neighbours), extensions)
+    return Locale(parent, classifications, contents, neighbours, extensions)
 
 
 def _read_extensions(ctx: _Ctx, kids: list, path):
@@ -675,7 +668,7 @@ def _read_extensions(ctx: _Ctx, kids: list, path):
             if el.tag[:1] != "{":
                 detail = f"element {el.tag!r} in no namespace"
                 bad = ctx.fail((path, _local(kid.tag), 0), "namespace", detail)
-    return bad or tuple(kids)
+    return bad or kids
 
 
 _SYMBOLIC = _grammar(
@@ -733,7 +726,7 @@ _read_observation = _compound(
 )
 
 
-_read_sequence = _compound(tuple, ("processingStep", "*", _compound(
+_read_sequence = _compound(lambda steps: steps, ("processingStep", "*", _compound(
     ProcessingStep,
     ("dateTime", "1", _read_datetime),
     ("description", "1", _read_text),
@@ -741,7 +734,7 @@ _read_sequence = _compound(tuple, ("processingStep", "*", _compound(
 
 
 _read_event = _compound(
-    lambda id_, steps, observations: LocationEvent(id_, steps, tuple(observations)),
+    LocationEvent,
     ("ID", "1", _read_id),
     ("processingSequence", "1", _read_sequence),
     ("observation", "+", _read_observation),
@@ -846,7 +839,7 @@ def _leaves(tag: str, texts) -> str:
 
 
 def _quantity(tag: str, q) -> str:
-    if q.unit is _QUANTITIES[tag][1]:
+    if q.unit is type(q).unit:
         return f"<{tag}>{_fmt_double(q.value)}</{tag}>"
     return f'<{tag} unit="{_escape(q.unit.value, _ATTR)}">{_fmt_double(q.value)}</{tag}>'
 

@@ -308,7 +308,7 @@ _events = _event_strategy(
     st.floats(),
 )
 # Events the wire can carry: texts of XML characters but CR, IDs that match
-# their patterns, times of day in whole milliseconds and no NaN PDOP.
+# their patterns and no NaN PDOP.
 _carried_events = _event_strategy(
     _wire_texts,
     st.one_of(
@@ -316,7 +316,7 @@ _carried_events = _event_strategy(
         st.builds(Id, st.just(IdKind.PHONE), st.from_regex(r"\+[0-9 ]*", fullmatch=True)),
         st.builds(Id, st.just(IdKind.EMAIL), _emails),
     ),
-    st.integers(0, 86_399_999).map(lambda ms: TimeOfDay(ms / 1000)),
+    st.builds(TimeOfDay, st.floats(min_value=0.0, max_value=86_399.999)),
     st.floats(allow_nan=False),
 )
 

@@ -41,11 +41,12 @@ from gloss.model import (
     Locale,
     ModeTransport,
     PhysicalLocation,
+    ProductLocation,
     Region,
     SymbolicLocation,
     Where,
 )
-from gloss.temporal import Period, SymbolicTime, TemporalRegion, Time
+from gloss.temporal import Period, SymbolicTime, TemporalRegion, Time, TimeOfDay
 from gloss.trails import (
     ArchetypalNode,
     ArchetypalTrail,
@@ -703,6 +704,12 @@ class TestRoutesThrough:
             Where(Locale(extensions=('<e xmlns="urn:x"/>',))),
             Where(Locale(extensions=('<e xmlns="urn:x"></e>',))),
         )
+
+    def test_sub_millisecond_opening_times_are_one_node(self):
+        def shop(opens):
+            return Where(SymbolicLocation(subtype=ProductLocation(open_time=TimeOfDay(opens))))
+
+        self._assert_one_node(shop(32400.0004), shop(32400.0))
 
     def test_negative_zero_is_one_node(self):
         self._assert_one_node(

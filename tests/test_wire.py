@@ -511,6 +511,11 @@ class TestParseWhere:
         )
         assert parse_where(serialize_where(w)) == w
 
+    def test_sub_millisecond_opening_time_round_trips(self):
+        # a time of day holds whole milliseconds, all its lexical form carries
+        w = Where(SymbolicLocation(subtype=ProductLocation(open_time=TimeOfDay(32400.0004))))
+        assert parse_where(serialize_where(w)) == w
+
     def test_bare_payload_roots(self):
         assert parse_where("<physicalLocation/>") == Where(PhysicalLocation())
         assert parse_where("<locale/>") == Where(Locale())
