@@ -1,107 +1,2 @@
 """Gloss: a typed model of people, places and trails, with a bit-exact
 location-event wire format and the tooling around it."""
-
-from .errors import (
-    GlossError,
-    NotWellFormed,
-    OutOfRange,
-    SchemaViolation,
-    UnknownSubject,
-)
-from .geo import (
-    EARTH_RADIUS_M,
-    contains,
-    convert_quantity,
-    destination_point,
-    distance_between_wheres,
-    great_circle_distance,
-    initial_bearing,
-    intersects,
-    resolved_point,
-    spherical_centroid,
-)
-from .model import (
-    Altitude,
-    AltitudeUnit,
-    Distance,
-    DistanceUnit,
-    Gazetteer,
-    Id,
-    IdKind,
-    Information,
-    LatLongCoordinate,
-    PhysicalLocation,
-    Region,
-    Speed,
-    SpeedUnit,
-    SymbolicLocation,
-    Where,
-    make_id,
-    resolve_region,
-)
-from .temporal import Period, SymbolicTime, TemporalRegion, Time, utc_to_swatch
-from .wire import (
-    LocationEvent,
-    NS,
-    Observation,
-    ProcessingStep,
-    ValidationReport,
-    parse_location_event,
-    parse_where,
-    serialize_location_event,
-    serialize_where,
-    validate_document,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "GlossError",
-    "NotWellFormed",
-    "OutOfRange",
-    "SchemaViolation",
-    "UnknownSubject",
-    "EARTH_RADIUS_M",
-    "contains",
-    "convert_quantity",
-    "destination_point",
-    "distance_between_wheres",
-    "great_circle_distance",
-    "initial_bearing",
-    "intersects",
-    "resolved_point",
-    "spherical_centroid",
-    "Altitude",
-    "AltitudeUnit",
-    "Distance",
-    "DistanceUnit",
-    "Gazetteer",
-    "Id",
-    "IdKind",
-    "Information",
-    "LatLongCoordinate",
-    "PhysicalLocation",
-    "Region",
-    "Speed",
-    "SpeedUnit",
-    "SymbolicLocation",
-    "Where",
-    "make_id",
-    "resolve_region",
-    "Period",
-    "SymbolicTime",
-    "TemporalRegion",
-    "Time",
-    "utc_to_swatch",
-    "LocationEvent",
-    "NS",
-    "Observation",
-    "ProcessingStep",
-    "ValidationReport",
-    "parse_location_event",
-    "parse_where",
-    "serialize_location_event",
-    "serialize_where",
-    "validate_document",
-    "__version__",
-]

@@ -37,8 +37,10 @@ __all__ = [
     "EventStore",
     "StreamServer",
     "forward",
+    "read_frame",
     "read_journal",
     "serve",
+    "write_frame",
 ]
 
 _FRAME_CAP = 64 * 1024 * 1024  # refuse absurd lengths rather than allocate

@@ -593,10 +593,11 @@ class Gazetteer:
                 if not line or line.startswith("#"):
                     continue
                 parts = line.split("\t")
-                if len(parts) < 3:
-                    raise ValueError(f"bad gazetteer line: {raw!r}")
-                name, lat, lon = parts[0], float(parts[1]), float(parts[2])
-                radius = float(parts[3]) if len(parts) > 3 else 0.0
+                try:  # three or four fields, or the unpacking fails
+                    name, lat, lon, radius = parts if len(parts) == 4 else parts + ["0"]
+                    lat, lon, radius = float(lat), float(lon), float(radius)
+                except ValueError:
+                    raise ValueError(f"bad gazetteer line: {raw!r}") from None
                 point = PhysicalLocation(LatLongCoordinate(lat, lon))
                 region = Region(point, CircularBounds(point, Distance(radius)))
                 entries[name] = SymbolicLocation(region=region)

@@ -76,6 +76,7 @@ __all__ = [
     "distill_archetypal",
     "recommended_order",
     "routes_through",
+    "parse_id_key",
     "export_observed",
     "import_observed",
     "export_archetypal",
@@ -433,41 +434,38 @@ def routes_through(
 ) -> list[Route]:
     """Every simple route from start to end over the given paths (a path
     given twice counts once), shortest first, deterministically ordered."""
-    # canonical bytes double as a stable sort key and an equality surrogate
-    member_keys = {serialize_where(n.where) for n in trail.nodes}
-    start_key, end_key = serialize_where(start), serialize_where(end)
-    if start_key not in member_keys:
+    rank = {n.where: serialize_where(n.where) for n in trail.nodes}  # canonical bytes: a stable sort key
+    if start not in rank:
         raise UnknownEndpoint("start is not a node of the trail")
-    if end_key not in member_keys:
+    if end not in rank:
         raise UnknownEndpoint("end is not a node of the trail")
     if len(trail.nodes) > _SEARCH_CAP:
         raise TooLarge(f"route search capped at {_SEARCH_CAP} nodes")
 
-    outgoing: dict[bytes, list[tuple[bytes, Path]]] = {}
+    outgoing: dict[Where, list[Path]] = {}
     for p in set(connectivity):  # a repeated path would interleave copies of its routes
-        fk, tk = serialize_where(p.from_where), serialize_where(p.to_where)
-        if fk in member_keys and tk in member_keys:
-            outgoing.setdefault(fk, []).append((tk, p))
+        if p.from_where in rank and p.to_where in rank:
+            outgoing.setdefault(p.from_where, []).append(p)
     for options in outgoing.values():
-        options.sort(key=lambda kv: (kv[0], "" if kv[1].mode is None else kv[1].mode.value))
+        options.sort(key=lambda p: (rank[p.to_where], "" if p.mode is None else p.mode.value))
 
     routes: list[Route] = []
 
-    def walk(at: bytes, visited: set[bytes], acc: list[Path]):
-        if at == end_key:
+    def walk(at: Where, visited: set[Where], acc: list[Path]):
+        if at == end:
             # simple routes cannot pass through the end and come back
             routes.append(Route(tuple(acc)))
             return
-        for tk, p in outgoing.get(at, ()):
-            if tk in visited:
+        for p in outgoing.get(at, ()):
+            if p.to_where in visited:
                 continue
-            visited.add(tk)
+            visited.add(p.to_where)
             acc.append(p)
-            walk(tk, visited, acc)
+            walk(p.to_where, visited, acc)
             acc.pop()
-            visited.remove(tk)
+            visited.remove(p.to_where)
 
-    walk(start_key, {start_key}, [])
+    walk(start, {start}, [])
     # the walk takes paths in (target key, mode) order, so a stable sort keeps hop order
     routes.sort(key=lambda r: len(r.paths))
     return routes

@@ -289,3 +289,20 @@ class TestResolveRegion:
         path.write_text("only-a-name\t56.0\n")
         with pytest.raises(ValueError):
             Gazetteer.from_file(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["West Sands\tabc\t-2.8", "West Sands\t56.3\t-2.8\tfar", "West Sands\t56.3\t-2.8\t400\textra"],
+    )
+    def test_gazetteer_names_the_line_it_cannot_read(self, tmp_path, line):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"Pier\t56.34\t-2.79\n{line}\n")
+        with pytest.raises(ValueError, match="^bad gazetteer line: ") as caught:
+            Gazetteer.from_file(path)
+        assert repr(line + "\n") in str(caught.value)
+
+    def test_gazetteer_range_errors_stay_out_of_range(self, tmp_path):
+        path = tmp_path / "far.tsv"
+        path.write_text("Pole\t91.0\t0.0\n")
+        with pytest.raises(OutOfRange):
+            Gazetteer.from_file(path)
