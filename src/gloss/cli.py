@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 validation or lookup failure, 2 I/O or usage
-failure.  State for ingest/query lives in the journal file, so separate
-invocations sharing a --journal see each other's accepted events.
+Exit codes: 0 success, 1 for a GlossError (refused input or a failed
+lookup), 2 for an OSError, a torn journal frame (BadFrame) or a usage
+error; any other exception is a bug and keeps its traceback.  State for
+ingest/query lives in the journal file, so separate invocations sharing a
+--journal see each other's accepted events.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import threading
 from contextlib import closing
 from pathlib import Path
 
-from .errors import GlossError, NotWellFormed, SchemaViolation
+from .errors import BadFrame, GlossError, NotWellFormed, SchemaViolation
 from .eventd import EventStore, serve
 from .geo import resolved_point
 from .model import Distance, DistanceUnit, Gazetteer
@@ -36,6 +38,8 @@ def _epsilon(text: str) -> Distance:
         raise argparse.ArgumentTypeError(
             f"unknown distance unit {unit_text!r} (one of: {choices})"
         ) from None
+    if float(value) == 0:
+        raise argparse.ArgumentTypeError("epsilon must be positive")
     return Distance(float(value), unit)
 
 
@@ -189,10 +193,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, EOFError) as exc:  # EOFError: a torn journal frame
+    except (OSError, BadFrame) as exc:  # BadFrame: a torn journal frame
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GlossError, ValueError) as exc:
+    except GlossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

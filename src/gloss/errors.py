@@ -4,7 +4,16 @@ from __future__ import annotations
 
 
 class GlossError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  A reader of outside
+    bytes raises nothing else but OSError."""
+
+
+class BadFrame(GlossError, EOFError):
+    """A length-prefixed frame is torn or announces more than the cap."""
+
+
+class BadInput(GlossError, ValueError):
+    """A manifest, policy line, ID key or gazetteer line cannot be read."""
 
 
 class OutOfRange(GlossError):

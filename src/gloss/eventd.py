@@ -21,7 +21,7 @@ from bisect import bisect, bisect_left
 from pathlib import Path as FilePath
 from typing import BinaryIO, Callable, Iterator, Optional
 
-from .errors import EmptyWhere, GlossError, SinkUnavailable, UnknownSubject, Unresolvable
+from .errors import BadFrame, EmptyWhere, GlossError, SinkUnavailable, UnknownSubject, Unresolvable
 from .model import Gazetteer, Id
 from .temporal import Time
 from .trails import Manual, ObservedNode, ObservedTrail, RecordingPolicy, policy_rule
@@ -64,20 +64,20 @@ def _read_exactly(source: BinaryIO, n: int, part: str) -> bytes:
     while n:
         chunk = source.read(n)
         if not chunk:
-            raise EOFError(f"truncated frame {part}")
+            raise BadFrame(f"truncated frame {part}")
         chunks.append(chunk)
         n -= len(chunk)
     return b"".join(chunks)  # a single bytes chunk comes back as itself, uncopied
 
 
 def read_frame(source: BinaryIO) -> Optional[bytes]:
-    """One length-prefixed document, or None at a clean end of stream."""
+    """One length-prefixed document, or None at a clean end; BadFrame if torn or over the cap."""
     header = source.read(4)
     if not header:  # nothing at all is a clean end; a short read is not
         return None
     (length,) = struct.unpack(">I", header + _read_exactly(source, 4 - len(header), "header"))
     if length > _FRAME_CAP:
-        raise EOFError(f"frame of {length} bytes exceeds the cap")
+        raise BadFrame(f"frame of {length} bytes exceeds the cap")
     return _read_exactly(source, length, "body")
 
 
@@ -268,12 +268,12 @@ class _IngestHandler(socketserver.StreamRequestHandler):
                 if document is None:
                     return
                 accepted = store.ingest(document)
+            except BadFrame as exc:
+                report(f"stream ended badly: {exc}")
+                return
             except GlossError as exc:  # the store is unchanged: read on
                 report(f"rejected: {exc}")
                 continue
-            except EOFError as exc:
-                report(f"stream ended badly: {exc}")
-                return
             except OSError as exc:  # the journal or the peer failed: end this connection
                 report(f"connection closed: {exc}")
                 return

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import EmptyWhere, NotInteger, NotWellFormed, OutOfRange, PatternMismatch
+from .errors import BadInput, EmptyWhere, NotInteger, NotWellFormed, OutOfRange, PatternMismatch
 from .errors import SchemaViolation, Unresolvable
 from .temporal import TimeOfDay
 
@@ -585,19 +585,20 @@ class Gazetteer:
 
     @classmethod
     def from_file(cls, path) -> "Gazetteer":
-        """Load ``name<TAB>lat<TAB>lon[<TAB>radius_m]`` lines; '#' comments."""
+        """Load UTF-8 ``name<TAB>lat<TAB>lon[<TAB>radius_m]`` lines, LF-ended; '#' comments."""
         entries: dict[str, SymbolicLocation] = {}
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                try:  # three or four fields, or the unpacking fails
+                try:  # UTF-8 with three or four fields, or decoding or unpacking fails
+                    line = raw.decode().strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    parts = line.split("\t")
                     name, lat, lon, radius = parts if len(parts) == 4 else parts + ["0"]
                     lat, lon, radius = float(lat), float(lon), float(radius)
                 except ValueError:
-                    raise ValueError(f"bad gazetteer line: {raw!r}") from None
+                    text = raw.decode(errors="backslashreplace")
+                    raise BadInput(f"bad gazetteer line: {text!r}") from None
                 point = PhysicalLocation(LatLongCoordinate(lat, lon))
                 region = Region(point, CircularBounds(point, Distance(radius)))
                 entries[name] = SymbolicLocation(region=region)

@@ -17,10 +17,13 @@ from pathlib import Path as FilePath
 from typing import Optional, Union
 
 from .errors import (
+    BadInput,
     EmptyInput,
     GlossError,
     NoOrderExists,
     OutOfOrderObservation,
+    OutOfRange,
+    PatternMismatch,
     TooLarge,
     UnknownEndpoint,
     Unresolvable,
@@ -43,7 +46,9 @@ from .model import (
     ModeTransport,
     PhysicalLocation,
     Region,
+    ScalarKind,
     Where,
+    make_constrained,
     make_id,
 )
 from .temporal import SymbolicTime, TemporalRegion, Time, When
@@ -199,6 +204,9 @@ class Route:
 @dataclass(frozen=True)
 class FixedTime:
     interval_seconds: float
+
+    def __post_init__(self):
+        make_constrained(ScalarKind.NON_NEGATIVE, self.interval_seconds)
 
 
 @dataclass(frozen=True)
@@ -491,26 +499,30 @@ def _format_policy(policy: RecordingPolicy) -> str:
 
 def _parse_policy(text: str) -> RecordingPolicy:
     tokens = text.split()
-    if tokens == ["manual"]:
-        return Manual()
-    if tokens[:1] == ["fixed-time"] and len(tokens) == 2:
-        return FixedTime(float(tokens[1]))
-    if tokens[:1] in (["fixed-spatial"], ["proximity"]) and len(tokens) >= 3:
-        d = Distance(float(tokens[1]), DistanceUnit(" ".join(tokens[2:])))
-        return FixedSpatial(d) if tokens[0] == "fixed-spatial" else Proximity((), d)
-    raise ValueError(f"bad policy line: {text!r}")
+    try:  # float() and DistanceUnit refuse with ValueError, a quantity with OutOfRange
+        if tokens == ["manual"]:
+            return Manual()
+        if tokens[:1] == ["fixed-time"] and len(tokens) == 2:
+            return FixedTime(float(tokens[1]))
+        if tokens[:1] in (["fixed-spatial"], ["proximity"]) and len(tokens) >= 3:
+            d = Distance(float(tokens[1]), DistanceUnit(" ".join(tokens[2:])))
+            return FixedSpatial(d) if tokens[0] == "fixed-spatial" else Proximity((), d)
+    except (ValueError, OutOfRange):
+        pass
+    raise BadInput(f"bad policy line: {text!r}")
 
 
 def parse_id_key(key: str) -> Id:
     """Read the `<kind>:<value>` form used by manifests and the CLI."""
     kind_text, sep, value = key.partition(":")
     if not sep:
-        raise ValueError(f"expected <kind>:<value>, got {key!r}")
+        raise BadInput(f"expected <kind>:<value>, got {key!r}")
     try:
-        kind = IdKind(kind_text)
-    except ValueError:
-        raise ValueError(f"unknown ID kind {kind_text!r}") from None
-    return make_id(kind, value)
+        return make_id(IdKind(kind_text), value)
+    except ValueError:  # from IdKind
+        raise BadInput(f"unknown ID kind {kind_text!r}") from None
+    except PatternMismatch as e:
+        raise BadInput(str(e)) from None
 
 
 def _read_manifest(text: str) -> tuple[Id, RecordingPolicy, list[tuple[str, Optional[Information]]]]:
@@ -532,17 +544,17 @@ def _read_manifest(text: str) -> tuple[Id, RecordingPolicy, list[tuple[str, Opti
             policy = _parse_policy(rest)
         elif keyword == "event":
             name = rest.strip()
-            if name in ("", ".", "..") or "/" in name or "\\" in name:
-                raise ValueError(f"event file {name!r} is not a plain file name")
+            if name in ("", ".", "..") or "/" in name or "\\" in name or "\0" in name:
+                raise BadInput(f"event file {name!r} is not a plain file name")
             files.append((name, [], []))
         elif keyword == "info" and files:
             files[-1][1].append(rest)
         elif keyword == "link" and files:
             files[-1][2].append(rest.strip())
         else:
-            raise ValueError(f"bad manifest line: {raw!r}")
+            raise BadInput(f"bad manifest line: {raw!r}")
     if subject is None:
-        raise ValueError("manifest names no subject")
+        raise BadInput("manifest names no subject")
     return subject, policy, [
         (name, Information(tuple(info), tuple(links)) if info or links else None)
         for name, info, links in files
@@ -579,11 +591,7 @@ def export_observed(trail: ObservedTrail, policy: RecordingPolicy, directory) ->
             lines.extend(f"info {text}" for text in node.info.info)
             lines.extend(f"link {link}" for link in node.info.links)
     text = "\n".join(lines) + "\n"
-    try:
-        read_back = _read_manifest(text)
-    except GlossError as e:
-        raise ValueError(f"the manifest would not read back: {e}") from None
-    if read_back != (trail.subject, policy, [(name, info) for name, info, _ in files]):
+    if _read_manifest(text) != (trail.subject, policy, [(name, info) for name, info, _ in files]):
         raise ValueError("the manifest would not read back this subject, policy and info")
     directory = FilePath(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -601,22 +609,26 @@ def import_observed(manifest_path) -> tuple[ObservedTrail, RecordingPolicy]:
     file must be a regular file, not a symlink, about the manifest's subject."""
     manifest_path = FilePath(manifest_path)
     base = manifest_path.parent
-    subject, policy, files = _read_manifest(manifest_path.read_text(encoding="utf-8"))
+    try:
+        text = manifest_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise BadInput(f"manifest {manifest_path} is not UTF-8: {e}") from None
+    subject, policy, files = _read_manifest(text)
     nodes: list[ObservedNode] = []
     for name, info in files:
         try:  # O_NONBLOCK: opening a FIFO must not wait for a writer
             fd = os.open(base / name, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
         except OSError:
             if os.path.islink(base / name):
-                raise ValueError(f"event file {name} is a symlink") from None
+                raise BadInput(f"event file {name} is a symlink") from None
             raise
         if not stat.S_ISREG(os.fstat(fd).st_mode):  # before open(), which leaks fd on a folder
             os.close(fd)
-            raise ValueError(f"event file {name} is not a regular file")
+            raise BadInput(f"event file {name} is not a regular file")
         with open(fd, "rb") as f:
             event = parse_location_event(f.read())
         if event.id != subject:
-            raise ValueError(f"{name} is about {event.id.key}, not the manifest's subject {subject.key}")
+            raise BadInput(f"{name} is about {event.id.key}, not the manifest's subject {subject.key}")
         nodes.extend(ObservedNode(obs.time_of_observation, obs.where) for obs in event.observations)
         if info is not None:
             nodes[-1] = ObservedNode(nodes[-1].when, nodes[-1].where, info)

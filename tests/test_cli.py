@@ -185,6 +185,14 @@ class TestTrailDistill:
         assert exc.value.code == 2
         assert "unknown distance unit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon", ["0m", "0", "0.0 km", "0e5 miles", "1e-400m"])
+    def test_zero_epsilon_is_usage_error(self, tmp_path, capsys, epsilon):
+        manifest = self._manifest(tmp_path, "walk1", [(0, 56.0, -2.0)])
+        with pytest.raises(SystemExit) as exc:
+            main(["trail", "distill", "--epsilon", epsilon, manifest])
+        assert exc.value.code == 2
+        assert "epsilon must be positive" in capsys.readouterr().err
+
     def test_policy_line_without_a_value(self, tmp_path, capsys):
         manifest = Path(self._manifest(tmp_path, "walk1", [(0, 56.0, -2.0)]))
         manifest.write_text(manifest.read_text().replace("policy manual", "policy"))
@@ -195,6 +203,18 @@ class TestTrailDistill:
     def test_missing_manifest(self, tmp_path, capsys):
         missing = str(tmp_path / "nope" / "trail.manifest")
         assert main(["trail", "distill", "--epsilon", "50m", missing]) == 2
+
+
+class TestErrors:
+    def test_a_bug_is_not_reported_as_bad_input(self, corpus_file, monkeypatch):
+        # a ValueError that no reader of outside bytes raised is a bug: it
+        # propagates with its traceback instead of exiting 1 with one line
+        def broken(data):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr("gloss.cli.validate_document", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["validate", corpus_file])
 
 
 class TestListen:

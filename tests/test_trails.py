@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 
 from gloss import geo
 from gloss.errors import (
+    BadInput,
     EmptyInput,
     EmptyWhere,
     NoOrderExists,
     OutOfOrderObservation,
+    OutOfRange,
     TooLarge,
     UnknownEndpoint,
     Unresolvable,
@@ -186,6 +188,11 @@ class TestRecordObservation:
         assert unchanged is t
         grown = record_observation(t, _node(30.0, SITE_B), policy)
         assert len(grown.nodes) == 2
+
+    @pytest.mark.parametrize("seconds", [math.nan, -1.0, -math.inf])
+    def test_fixed_time_refuses_nan_and_negative_intervals(self, seconds):
+        with pytest.raises(OutOfRange):
+            FixedTime(seconds)
 
     def test_fixed_spatial_threshold(self):
         from gloss.trails import record_observation
@@ -906,10 +913,22 @@ class TestExportImport:
             import_observed(manifest)
 
     def test_unreadable_policy_writes_nothing(self, tmp_path):
-        # nan != nan: the policy line would not read back equal
-        with pytest.raises(ValueError):
-            export_observed(self._rich_trail(), FixedTime(math.nan), tmp_path / "t")
+        # a policy line has no form for designated regions, so it would not read back equal
+        policy = Proximity((Region(PhysicalLocation(SITE_B)),), Distance(1.0, DistanceUnit.KM))
+        with pytest.raises(ValueError, match="would not read back"):
+            export_observed(self._rich_trail(), policy, tmp_path / "t")
         assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        ["fixed-time nan", "fixed-time -1", "fixed-time 1 s", "fixed-spatial 3 parsec",
+         "fixed-spatial nan m", "proximity -0.5 km", "proximity 1e999x m"],
+    )
+    def test_unreadable_policy_line_is_bad_input(self, tmp_path, line):
+        manifest = export_observed(self._rich_trail(), Manual(), tmp_path)
+        manifest.write_text(manifest.read_text().replace("policy manual", f"policy {line}"))
+        with pytest.raises(BadInput, match=f"^bad policy line: '{line}'$"):
+            import_observed(manifest)
 
     def test_serialization_failure_writes_nothing(self, tmp_path):
         # a dateTime past the year 9999 has no four-digit lexical form
@@ -940,6 +959,7 @@ class TestExportImport:
             pytest.param("event ../b/0000.xml", False, id="sibling-folder"),
             pytest.param("event {b}/0000.xml", False, id="absolute"),
             pytest.param("event sub/0000.xml", False, id="separator"),
+            pytest.param("event 0000.xml\0", False, id="nul"),
             pytest.param("event 0000.xml", True, id="symlink-outside"),
         ],
     )
