@@ -108,7 +108,7 @@ class OrdinalScore(Enum):
         return NotImplemented
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfaceAttrs:
     shape: Optional[str] = None
     size: Optional[str] = None
@@ -119,7 +119,7 @@ class SurfaceAttrs:
     social_use: Optional[SocialUse] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfaceProps:
     solidity: Optional[Solidity] = None
     rigidity: Optional[Rigidity] = None
@@ -135,7 +135,7 @@ class SurfaceProps:
     reachable: Optional[bool] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstrumentAttrs:
     shape: Optional[str] = None
     size: Optional[str] = None
@@ -144,19 +144,19 @@ class InstrumentAttrs:
     social_use: Optional[SocialUse] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstrumentProps:
     precision: Optional[OrdinalScore] = None
     stability: Optional[OrdinalScore] = None
     manipulability: Optional[OrdinalScore] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generic:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Specific:
     """Usable with exactly one content class (a face-shaped mask, say)."""
 
@@ -170,7 +170,7 @@ class Specific:
 Genericity = Union[Generic, Specific]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteractionResource:
     """A mediator between actors; serves as instrument and/or surface.
     Hashes as its id's value alone, which agrees with ``==``: resources
@@ -195,7 +195,7 @@ class InteractionResource:
         return hash(self.id.value)  # as hash(self.id), one call shorter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Actuator:
     """Modifies resource state on an actor's behalf (a finger, a motor)."""
 
@@ -203,7 +203,7 @@ class Actuator:
     description: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sensor:
     """Observes resource state on an actor's behalf."""
 
@@ -211,20 +211,20 @@ class Sensor:
     description: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionSurface:
     # named sub-resource only; sub-surface geometry is not modeled
     parent: Id
     name: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObservationSurface:
     parent: Id
     name: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InformationContent:
     id: Id
     payload: Information = Information()
@@ -232,7 +232,7 @@ class InformationContent:
     sources: tuple[Id, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawContent:
     """Content as observed from surfaces; always cites where it came from."""
 
@@ -250,7 +250,7 @@ Content = Union[InformationContent, RawContent]
 Couplable = Union[InteractionResource, Actuator, Sensor]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placement:
     where: Where
     orientation: Optional[CompassDirection] = None
@@ -348,7 +348,7 @@ def _pair(a: InteractionResource, b: InteractionResource) -> frozenset:
     return frozenset((a, b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CouplingState:
     """Who is attached to what, with rule-added surface pairs kept apart
     from manual ones so the proximity rule never clobbers a manual
@@ -406,7 +406,7 @@ def decouple_surfaces(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CouplingDegree:
     actuators: int = 0
     sensors: int = 0
@@ -477,7 +477,7 @@ class Compatibility(Enum):
     INCOMPATIBLE = "incompatible"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompatibilityContext:
     """What each surface is for: task sets, exclusive role assignments,
     and the current couplings (redundancy is about the here-and-now)."""

@@ -2,7 +2,10 @@
 Where hierarchy, plus gazetteer-backed region resolution.
 
 Every type here is an immutable value; the wire nesting of subtype choices
-is flattened into plain variant unions and subclass chains.
+is flattened into plain variant unions and subclass chains.  Values keep
+their fields in slots: they carry no ``__dict__`` and take no weak
+references, and a field's default is no class attribute, so it is read
+through ``field_default`` (``Speed.unit`` is the slot itself).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .temporal import TimeOfDay
 __all__ = [
     "ScalarKind",
     "make_constrained",
+    "field_default",
     "IdKind",
     "Id",
     "make_id",
@@ -108,6 +112,12 @@ def make_constrained(kind: ScalarKind, value: float) -> float:
     return value
 
 
+def field_default(cls: type, name: str):
+    """The default of field *name* of the value class *cls*, as its
+    declaration states it; a slot leaves no default on the class."""
+    return cls.__dataclass_fields__[name].default
+
+
 # ---------------------------------------------------------------------------
 # Identities
 
@@ -124,7 +134,7 @@ _PHONE_RE = re.compile(r"\+[0-9 ]*")
 _EMAIL_RE = re.compile(r"[^@]+@[^.]+\..+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Id:
     """Identity of a tracked person or artefact; an opaque, maybe-unique tag.
     Hashes as its value alone, which agrees with ``==``."""
@@ -183,7 +193,7 @@ class SpeedUnit(_Unit):
     KNOTS = ("knots", 1852.0 / 3600.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Altitude:
     """Height above the reference surface; may be negative."""
 
@@ -191,7 +201,7 @@ class Altitude:
     unit: AltitudeUnit = AltitudeUnit.METRES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Distance:
     value: float
     unit: DistanceUnit = DistanceUnit.M
@@ -200,7 +210,7 @@ class Distance:
         make_constrained(_NON_NEGATIVE, self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Speed:
     value: float
     unit: SpeedUnit = SpeedUnit.KNOTS
@@ -213,7 +223,7 @@ class Speed:
 # Space
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Information:
     """Arbitrary annotations: free text plus links."""
 
@@ -221,7 +231,7 @@ class Information:
     links: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Classification:
     types: tuple[str, ...]
 
@@ -230,7 +240,7 @@ class Classification:
             raise ValueError("classification needs at least one type")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Address:
     name_number: Optional[str] = None
     street: Optional[str] = None
@@ -245,7 +255,7 @@ class Address:
             raise PatternMismatch(f"not an email address: {self.email!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatLongCoordinate:
     """A 2-D point in degrees; the only concrete coordinate on the wire."""
 
@@ -257,27 +267,27 @@ class LatLongCoordinate:
         make_constrained(_LONGITUDE, self.longitude)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhysicalLocation:
     """A point; the coordinate is optional on the wire."""
 
     coordinate: Optional[LatLongCoordinate] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Horizon:
     """The region currently perceived by a user; opaque text, no geometry."""
 
     description: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CircularBounds:
     centre: PhysicalLocation
     radius: Distance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RectangularBounds:
     top_left: PhysicalLocation
     bottom_right: PhysicalLocation
@@ -287,7 +297,7 @@ class RectangularBounds:
 SpatialBounds = Union[Horizon, CircularBounds, RectangularBounds, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Region:
     """A bounded fixed region: a distinguished point plus bounds.
 
@@ -298,17 +308,17 @@ class Region:
     bounds: SpatialBounds = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Landmark:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class District:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassifiedLocation:
     """A symbolic location annotated with classifications."""
 
@@ -316,12 +326,12 @@ class ClassifiedLocation:
     description: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddressLocation(ClassifiedLocation):
     address: Address = Address()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductLocation(AddressLocation):
     """An address location where a service is available during open hours."""
 
@@ -332,7 +342,7 @@ class ProductLocation(AddressLocation):
 SymbolicSubtype = Union[ClassifiedLocation, Landmark, District, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolicLocation:
     """An entity, fixed or moveable, that may contain people, artefacts and
     other locations; occupies a region that may move with it."""
@@ -344,7 +354,7 @@ class SymbolicLocation:
     fixed: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Locale:
     """A logical grouping of symbolic locations.
 
@@ -380,7 +390,7 @@ class Locale:
 WherePayload = Union[SymbolicLocation, PhysicalLocation, Region, Locale, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Where:
     """A place: point, region, symbolic location or locale — or nothing.
 
@@ -405,7 +415,9 @@ _PREFIXES = {
     "http://www.w3.org/2001/XMLSchema-instance": "xsi",
     "http://purl.org/dc/elements/1.1/": "dc",
 }
-_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# the characters XML 1.0 cannot carry, spelled as a set rather than as the
+# complement of the ones it can: that compiles several times faster
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 _TEXT = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"))
 _ATTR = _TEXT + (('"', "&quot;"), ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;"))
 
@@ -477,7 +489,7 @@ class ModeTransport(Enum):
     FOOT = "Foot"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Profile:
     """Per-person profile: transport mode plus free-form preferences."""
 
@@ -490,7 +502,7 @@ class Profile:
         return cls(mode=mode, preferences=items)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Activity:
     description: str
 
@@ -500,7 +512,7 @@ class ActorKind(Enum):
     ARTIFICIAL = "artificial"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GlossObject:
     """Any identity tracked within the fabric; always carries exactly one Id."""
 
@@ -512,25 +524,25 @@ class GlossObject:
             raise TypeError("GlossObject is abstract; use Actor or Artefact")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Actor(GlossObject):
     kind: ActorKind = ActorKind.NATURAL
     profile: Optional[Profile] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Artefact(GlossObject):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conduit(Artefact):
     """A distinguished artefact information flows through (PDA, phone, screen)."""
 
     associated_with: Optional[Id] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompassDirection:
     """Bearing in degrees from True North."""
 
@@ -540,18 +552,18 @@ class CompassDirection:
         make_constrained(_BEARING, self.bearing)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Keypoint:
     where: Where
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Thoroughfare:
     keypoints: tuple[Keypoint, ...] = ()
     locales: tuple[Locale, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Junction:
     meets: frozenset[Thoroughfare]
 

@@ -75,7 +75,7 @@ def lex_datetime(text: str) -> tuple[int, bool]:
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Time:
     """An absolute instant, in UTC milliseconds since the POSIX epoch.
 
@@ -109,7 +109,7 @@ class Time:
         return base
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Period:
     """A contiguous closed span of time; start must not exceed end."""
 
@@ -124,7 +124,7 @@ class Period:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TemporalRegion:
     """A non-empty set of periods."""
 
@@ -136,7 +136,7 @@ class TemporalRegion:
             raise ValueError("temporal region needs at least one period")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolicTime:
     """A named time ("lunchtime") denoting an explicit temporal region."""
 
@@ -147,7 +147,7 @@ class SymbolicTime:
 When = Time | SymbolicTime | TemporalRegion
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeOfDay:
     """A time of day detached from any date, in [0, 86400) seconds to the millisecond."""
 

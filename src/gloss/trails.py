@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import stat
-import statistics
 from dataclasses import dataclass
 from pathlib import Path as FilePath
 from typing import Optional, Union
@@ -102,14 +101,14 @@ def _when_millis(when: When) -> int:
     raise TypeError(f"not a When: {when!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObservedNode:
     when: When
     where: Where
     info: Optional[Information] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObservedTrail:
     """A snail trail: one subject, observations in non-decreasing time order."""
 
@@ -122,14 +121,14 @@ class ObservedTrail:
             raise OutOfOrderObservation("trail timestamps must be non-decreasing")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArchetypalNode:
     key: str
     where: Where
     info: Information = Information()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrailEdge:
     source: str
     target: str
@@ -137,7 +136,7 @@ class TrailEdge:
     median_travel_seconds: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArchetypalTrail:
     """Directed place graph with a recommended full-coverage visit order."""
 
@@ -161,13 +160,13 @@ class ArchetypalTrail:
                 raise ValueError(f"recommended order step {a}->{b} is not an edge")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntentionalNode:
     where: Where
     info: Information = Information()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntentionalTrail:
     """Theme-linked unordered set of places."""
 
@@ -179,14 +178,14 @@ class IntentionalTrail:
         object.__setattr__(self, "nodes", frozenset(nodes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     from_where: Where
     to_where: Where
     mode: Optional[ModeTransport] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Route:
     """A chain of paths: each hop starts where the previous one ended."""
 
@@ -201,7 +200,7 @@ class Route:
 # --- recording policies ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixedTime:
     interval_seconds: float
 
@@ -209,17 +208,17 @@ class FixedTime:
         make_constrained(ScalarKind.NON_NEGATIVE, self.interval_seconds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixedSpatial:
     min_distance: Distance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Manual:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proximity:
     designated: tuple[Region, ...]
     threshold: Distance
@@ -355,6 +354,8 @@ def distill_archetypal(
     sequence that covers every node exactly once; when no observed sequence
     qualifies, an exhaustive search over the edges stands in.
     """
+    import statistics  # here, not at the top: it loads fractions and decimal, which ingest never needs
+
     eps_m = distance_in_metres(epsilon)
     if eps_m <= 0:
         raise ValueError("epsilon must be positive")

@@ -51,6 +51,7 @@ from .model import (
     SymbolicLocation,
     Where,
     Information,
+    field_default,
     make_constrained,
     _BEARING,
     _EMAIL_RE,
@@ -94,7 +95,7 @@ _NESTING_CAP = 2 * _LOCALE_DEPTH_BOUND
 # Wire-level model
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcessingStep:
     """One hop in an event's life: when it was handled and by what."""
 
@@ -102,7 +103,7 @@ class ProcessingStep:
     description: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """A single sighting: a time, a place, and optional GPS extras."""
 
@@ -132,7 +133,7 @@ class Observation:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocationEvent:
     id: Id
     processing_sequence: tuple[ProcessingStep, ...] = ()
@@ -143,14 +144,14 @@ class LocationEvent:
             raise ValueError("a location event carries at least one observation")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     path: str
     rule: str
     detail: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class ValidationReport:
     violations: list[Violation] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
@@ -418,7 +419,7 @@ def _read_quantity(ctx: _Ctx, el: ET.Element, path):
     ok = _attrs_ok(ctx, el, path, allowed=("unit",))
     v = _read_double(ctx, el, path)
     raw_unit = el.get("unit")
-    unit = cls.unit
+    unit = field_default(cls, "unit")
     if raw_unit is not None:
         unit_enum = type(unit)
         try:
@@ -839,7 +840,7 @@ def _leaves(tag: str, texts) -> str:
 
 
 def _quantity(tag: str, q) -> str:
-    if q.unit is type(q).unit:
+    if q.unit is field_default(type(q), "unit"):
         return f"<{tag}>{_fmt_double(q.value)}</{tag}>"
     return f'<{tag} unit="{_escape(q.unit.value, _ATTR)}">{_fmt_double(q.value)}</{tag}>'
 

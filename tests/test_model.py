@@ -1,6 +1,7 @@
 """Core ontology types: constrained scalars, identifiers, places."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -39,6 +40,8 @@ from gloss.model import (
     SymbolicLocation,
     Thoroughfare,
     Where,
+    _NOT_XML_CHAR,
+    field_default,
     make_constrained,
     make_id,
     resolve_region,
@@ -180,9 +183,9 @@ class TestQuantities:
         assert Altitude(123.45, AltitudeUnit.FEET).unit is AltitudeUnit.FEET
 
     def test_default_units(self):
-        assert Distance(1.0).unit is DistanceUnit.M
-        assert Speed(1.0).unit is SpeedUnit.KNOTS
-        assert Altitude(1.0).unit is AltitudeUnit.METRES
+        assert Distance(1.0).unit is field_default(Distance, "unit") is DistanceUnit.M
+        assert Speed(1.0).unit is field_default(Speed, "unit") is SpeedUnit.KNOTS
+        assert Altitude(1.0).unit is field_default(Altitude, "unit") is AltitudeUnit.METRES
 
     def test_wire_unit_names(self):
         assert DistanceUnit("nautical miles") is DistanceUnit.NAUTICAL_MILES
@@ -234,6 +237,11 @@ class TestStructuredTypes:
     def test_gloss_object_is_abstract(self):
         with pytest.raises(TypeError):
             GlossObject(Id(IdKind.BIT_STRING, "x"))
+
+    def test_the_non_xml_characters_match_as_the_complement_of_the_xml_ones(self):
+        every = "".join(map(chr, range(0x110000)))
+        complement = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+        assert _NOT_XML_CHAR.findall(every) == complement.findall(every)
 
     def test_profile_from_mapping_is_order_insensitive(self):
         p1 = Profile.from_mapping(preferences={"a": "1", "b": "2"})

@@ -87,3 +87,14 @@ def test_importing_a_module_loads_only_what_it_imports(module, loaded):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == loaded
+
+
+def test_the_cli_and_the_ingest_node_load_no_statistics():
+    # only distill_archetypal needs it, and it pulls in fractions and decimal
+    code = (
+        f"import sys; sys.path.insert(0, {str(REPO / 'src')!r}); import gloss.cli, gloss.eventd; "
+        "print(*sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
